@@ -45,6 +45,7 @@ void ClientProcess::SubmitChunk(size_t count) {
     msg->txs.push_back(Transaction{Transaction::MakeId(host_->id(), next_seq_++), now,
                                    config_.payload_size});
   }
+  msg->MemoizeWireSize();
   for (uint32_t r = 0; r < config_.num_replicas; ++r) {
     net_->Send(host_->id(), config_.first_replica_host + r, msg);
   }

@@ -95,6 +95,7 @@ void KvClientProcess::SubmitOrdered(size_t op_idx) {
   auto msg = std::make_shared<ClientSubmitMsg>();
   msg->txs.push_back(Transaction{op.op_id, host_->LocalNow(), config_.payload_size,
                                  app::EncodeKvOp(op.kind, op.key)});
+  msg->MemoizeWireSize();
   for (uint32_t r = 0; r < config_.num_replicas; ++r) {
     net_->Send(host_->id(), config_.first_replica_host + r, msg);
   }
@@ -116,6 +117,7 @@ void KvClientProcess::ResubmitOutstanding() {
       msg->txs.push_back(
           Transaction{id, now, config_.payload_size, app::EncodeKvOp(op.kind, op.key)});
     }
+    msg->MemoizeWireSize();
     for (uint32_t r = 0; r < config_.num_replicas; ++r) {
       net_->Send(host_->id(), config_.first_replica_host + r, msg);
     }

@@ -1,7 +1,7 @@
 // Flat open-addressing hash set for uint64_t keys (linear probing, power-of-two table).
-// Replaces std::unordered_set on simulator hot paths (mempool id suppression): no per-node
-// allocation, and growth moves raw words instead of relinking buckets, which removed the
-// rehash storms that showed up in profiles of long ingestion-heavy runs.
+// No per-node allocation, and growth moves raw words instead of relinking buckets. The
+// mempool uses it as the sparse spill set for tx ids that fall outside their client's
+// watermark window (src/consensus/mempool.h).
 #ifndef SRC_COMMON_U64_SET_H_
 #define SRC_COMMON_U64_SET_H_
 
@@ -53,6 +53,38 @@ class U64Set {
       i = (i + 1) & mask_;
     }
     return false;
+  }
+
+  // Removes `key`; returns true when it was present. Backward-shift deletion keeps every
+  // probe chain gap-free, so no tombstones accumulate.
+  bool Erase(uint64_t key) {
+    if (key == kEmpty) {
+      const bool had = has_empty_key_;
+      has_empty_key_ = false;
+      size_ -= had ? 1 : 0;
+      return had;
+    }
+    if (slots_.empty()) {
+      return false;
+    }
+    size_t i = Mix(key) & mask_;
+    while (slots_[i] != key) {
+      if (slots_[i] == kEmpty) {
+        return false;
+      }
+      i = (i + 1) & mask_;
+    }
+    // Pull back any later chain member whose home slot does not lie in (i, j].
+    for (size_t j = (i + 1) & mask_; slots_[j] != kEmpty; j = (j + 1) & mask_) {
+      const size_t home = Mix(slots_[j]) & mask_;
+      if (((j - home) & mask_) >= ((j - i) & mask_)) {
+        slots_[i] = slots_[j];
+        i = j;
+      }
+    }
+    slots_[i] = kEmpty;
+    --size_;
+    return true;
   }
 
   size_t size() const { return size_; }

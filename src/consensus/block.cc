@@ -36,6 +36,9 @@ Hash256 HeaderHash(View view, Height height, const Hash256& parent, const Hash25
 }  // namespace
 
 size_t Block::WireSize() const {
+  if (wire_size_memo_ != 0) {
+    return wire_size_memo_;
+  }
   // view + height + parent + exec_result + hash + tx batch.
   return 8 + 8 + 32 + 32 + 32 + TotalWireSize(txs);
 }
@@ -48,6 +51,7 @@ const BlockPtr& Block::Genesis() {
     g->parent = ZeroHash();
     g->exec_result = Sha256Digest(AsBytes("genesis-state"));
     g->hash = HeaderHash(0, 0, g->parent, TxRoot({}), g->exec_result);
+    g->MemoizeWireSize();
     return g;
   }();
   return genesis;
@@ -65,6 +69,7 @@ BlockPtr Block::Create(View view, const BlockPtr& parent, std::vector<Transactio
   b->exec_result = HashPair(parent->exec_result, tx_root);
   b->hash = HeaderHash(b->view, b->height, b->parent, tx_root, b->exec_result);
   b->propose_time = propose_time;
+  b->MemoizeWireSize();
   return b;
 }
 
@@ -147,6 +152,7 @@ BlockPtr DecodeBlockRecord(ByteView record) {
           HeaderHash(b->view, b->height, b->parent, b->CachedTxRoot(), b->exec_result)) {
     return nullptr;
   }
+  b->MemoizeWireSize();
   return b;
 }
 

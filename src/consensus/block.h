@@ -38,6 +38,7 @@ struct Block {
     propose_time = other.propose_time;
     tx_root_memo_set_ = false;
     valid_memo_set_ = false;
+    wire_size_memo_ = 0;
     return *this;
   }
 
@@ -51,7 +52,9 @@ struct Block {
   // Bookkeeping (not part of the hash): when the leader proposed this block.
   SimTime propose_time = 0;
 
-  // Header + certificate-free body size on the wire.
+  // Header + certificate-free body size on the wire. Blocks built by Create, Genesis or
+  // DecodeBlockRecord never change afterwards and answer from a memo taken at construction;
+  // any other block recomputes it on every call.
   size_t WireSize() const;
 
   // The hard-coded genesis block G (height 0, view 0).
@@ -78,6 +81,11 @@ struct Block {
   const Hash256& CachedTxRoot() const;
 
  private:
+  friend BlockPtr DecodeBlockRecord(ByteView record);
+
+  void MemoizeWireSize() { wire_size_memo_ = WireSize(); }
+
+  size_t wire_size_memo_ = 0;  // 0 = not memoized (a real block is never that small).
   mutable Hash256 tx_root_memo_;
   mutable bool tx_root_memo_set_ = false;
   mutable Hash256 valid_memo_parent_;

@@ -14,7 +14,15 @@ struct ClientSubmitMsg : SimMessage {
   const char* TraceName() const override { return "client_submit"; }
   std::vector<Transaction> txs;
 
-  size_t WireSize() const override { return 8 + TotalWireSize(txs); }
+  // Senders call this once `txs` is final: one message object goes out on every replica
+  // link, and each send asks for its size.
+  void MemoizeWireSize() { wire_size_memo_ = WireSize(); }
+  size_t WireSize() const override {
+    return wire_size_memo_ != 0 ? wire_size_memo_ : 8 + TotalWireSize(txs);
+  }
+
+ private:
+  size_t wire_size_memo_ = 0;
 };
 
 // Replica -> client: a committed block together with its commitment certificate (the client

@@ -87,7 +87,7 @@ class ReplicaBase : public IProcess {
   // Read-side accessors used by the harness.
   Height last_committed_height() const { return last_committed_height_; }
   const BlockStore& store() const { return store_; }
-  size_t mempool_pending() const { return mempool_.pending(); }
+  const Mempool& mempool() const { return mempool_; }
 
   // Invariant digest for the chaos oracles. The base fills the committed prefix and the
   // platform counter; each protocol overrides to add its trusted view/version/fault state.

@@ -381,12 +381,18 @@ void Cluster::RefreshFootprintGauges() {
     const storage::HostStableStorage& disk = platforms_[i]->host_storage();
     uint64_t entries = disk.TotalWalRecords();
     uint64_t bytes = disk.TotalWalBytes();
+    size_t pending = 0;  // A crashed replica's mempool is gone with it.
+    size_t ids_tracked = 0;
     if (const ReplicaBase* rep = replica_ptrs_[i]) {
       entries += rep->store().size();
       bytes += rep->store().ApproxBytes();
+      pending = rep->mempool().pending();
+      ids_tracked = rep->mempool().ids_tracked();
     }
     metrics_.GetGauge("log.entries_retained", labels)->Set(static_cast<double>(entries));
     metrics_.GetGauge("log.bytes_retained", labels)->Set(static_cast<double>(bytes));
+    metrics_.GetGauge("mempool.pending", labels)->Set(static_cast<double>(pending));
+    metrics_.GetGauge("mempool.ids_tracked", labels)->Set(static_cast<double>(ids_tracked));
     if (ckpt_manager_ != nullptr) {
       metrics_.GetGauge("ckpt.last_stable_seq", labels)
           ->Set(static_cast<double>(ckpt_manager_->last_stable(i)));

@@ -196,7 +196,8 @@ class Cluster {
   RunStats RunMeasured(SimDuration warmup, SimDuration measure);
 
   // Refreshes the per-replica retention gauges (log.entries_retained, log.bytes_retained,
-  // ckpt.last_stable_seq): WAL records/bytes on disk plus the in-memory block store.
+  // ckpt.last_stable_seq): WAL records/bytes on disk plus the in-memory block store; and
+  // mempool.pending / mempool.ids_tracked (queued txs, id-set words; see Mempool).
   // Called at the end of RunMeasured; callable any time for finer-grained sampling.
   void RefreshFootprintGauges();
 

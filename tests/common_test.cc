@@ -191,6 +191,25 @@ TEST(U64SetTest, GrowthPreservesMembershipDifferentialVsStdSet) {
   }
 }
 
+TEST(U64SetTest, EraseDifferentialVsStdSet) {
+  // Small key range so erases hit long probe chains that wrap around the table.
+  U64Set set;
+  std::unordered_set<uint64_t> reference;
+  Rng rng(0xe7a5e);
+  for (int i = 0; i < 50'000; ++i) {
+    const uint64_t key = rng.UniformU64(3) == 0 ? rng.NextU64() : rng.UniformU64(600);
+    if (rng.Chance(0.45)) {
+      ASSERT_EQ(set.Erase(key), reference.erase(key) == 1) << "op " << i;
+    } else {
+      ASSERT_EQ(set.Insert(key), reference.insert(key).second) << "op " << i;
+    }
+    ASSERT_EQ(set.size(), reference.size());
+  }
+  for (uint64_t key = 0; key < 600; ++key) {
+    EXPECT_EQ(set.Contains(key), reference.count(key) != 0) << key;
+  }
+}
+
 TEST(U64SetTest, ReserveAvoidsRehashButChangesNothingObservable) {
   U64Set reserved;
   reserved.Reserve(10'000);

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <unordered_set>
+
+#include "src/common/rng.h"
+#include "src/common/u64_set.h"
 #include "src/consensus/block.h"
 #include "src/consensus/certificates.h"
 #include "src/consensus/commit_tracker.h"
 #include "src/consensus/mempool.h"
+#include "src/consensus/messages.h"
 #include "src/consensus/metrics.h"
 #include "src/consensus/types.h"
 
@@ -66,6 +73,32 @@ TEST(BlockTest, WireSizeScalesWithPayload) {
   EXPECT_GT(big->WireSize(), small->WireSize());
   // 400 txs * (8 + 256) bytes + header.
   EXPECT_EQ(big->WireSize(), 400u * 264u + 112u);
+}
+
+TEST(BlockTest, WireSizeMemoMatchesRecomputationAndDropsOnCopy) {
+  const BlockPtr b = Block::Create(1, Block::Genesis(), MakeTxs(1, 7), 0);
+  EXPECT_EQ(b->WireSize(), 112u + TotalWireSize(b->txs));
+  EXPECT_EQ(Block::Genesis()->WireSize(), 112u);
+  const BlockPtr decoded = DecodeBlockRecord(EncodeBlockRecord(*b));
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(decoded->WireSize(), b->WireSize());
+  // A copy may be mutated, so it must not inherit the memo.
+  auto grown = std::make_shared<Block>(*b);
+  grown->txs.push_back(Transaction{Transaction::MakeId(1, 99), 0, 1000});
+  EXPECT_EQ(grown->WireSize(), b->WireSize() + 1008u);
+  Block assigned;
+  assigned = *b;
+  assigned.txs.clear();
+  EXPECT_EQ(assigned.WireSize(), 112u);
+}
+
+TEST(MessagesTest, ClientSubmitWireSizeMemoMatchesRecomputation) {
+  ClientSubmitMsg msg;
+  msg.txs = MakeTxs(3, 5);
+  const size_t computed = msg.WireSize();
+  EXPECT_EQ(computed, 8u + 5u * 264u);
+  msg.MemoizeWireSize();
+  EXPECT_EQ(msg.WireSize(), computed);
 }
 
 // --- BlockStore ---
@@ -142,6 +175,220 @@ TEST(MempoolTest, CommittedTxsNeverReenterOrLeave) {
   EXPECT_EQ(batch[0].id, txs[2].id);
   pool.AddBatch({txs[0]});  // Resubmission of committed tx.
   EXPECT_EQ(pool.pending(), 0u);
+}
+
+TEST(MempoolTest, CommitEvictsCommittedQueueFront) {
+  Mempool pool;
+  const auto txs = MakeTxs(1, 6);
+  pool.AddBatch(txs);
+  pool.MarkCommitted({txs[0], txs[1], txs[3]});
+  EXPECT_EQ(pool.pending(), 4u);  // Eviction stops at the first uncommitted entry.
+  pool.MarkCommitted({txs[2]});
+  EXPECT_EQ(pool.pending(), 2u);  // txs[2] and the already committed txs[3] leave.
+  const auto batch = pool.TakeBatch(10);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].id, txs[4].id);
+}
+
+// Today's-semantics reference: two ever-growing id sets in front of a FIFO queue. The
+// bounded Mempool must give the same dedup verdicts and the same TakeBatch output.
+class ReferenceMempool {
+ public:
+  void AddBatch(const std::vector<Transaction>& txs) {
+    for (const Transaction& tx : txs) {
+      if (known_.Insert(tx.id)) {
+        queue_.push_back(tx);
+      }
+    }
+  }
+  std::vector<Transaction> TakeBatch(size_t max) {
+    std::vector<Transaction> batch;
+    while (batch.size() < max && !queue_.empty()) {
+      Transaction tx = queue_.front();
+      queue_.pop_front();
+      if (!committed_.Contains(tx.id)) {
+        batch.push_back(tx);
+      }
+    }
+    return batch;
+  }
+  void MarkCommitted(const std::vector<Transaction>& txs) {
+    for (const Transaction& tx : txs) {
+      committed_.Insert(tx.id);
+      known_.Insert(tx.id);
+    }
+  }
+
+ private:
+  std::deque<Transaction> queue_;
+  U64Set known_;
+  U64Set committed_;
+};
+
+// Draws tx ids in the shapes the id set has to absorb. Each client streams every seq
+// exactly once through a reorder buffer whose depth changes over time (in order, local
+// reordering, or deeper than the window so ids spill and the watermark later sweeps over
+// them). On top come duplicates and stragglers up to three windows behind, ids far ahead
+// of the stream (gaps wider than the window, filled in later), permanent gaps in one
+// client's stream (its watermark stalls for good), uniformly random 64-bit ids (the
+// Byzantine spammer's), and the extreme ids 0, seq 0xffffffff and client 0xffffffff.
+class IdSource {
+ public:
+  explicit IdSource(uint64_t seed) : rng_(seed) {}
+
+  uint64_t Next() {
+    const uint64_t roll = rng_.UniformU64(1000);
+    if (roll < 30) {
+      return rng_.NextU64();
+    }
+    if (roll < 45) {
+      const uint64_t kEdges[] = {0,
+                                 Transaction::MakeId(0, 0xffffffff),
+                                 Transaction::MakeId(0xffffffff, 0),
+                                 Transaction::MakeId(0xffffffff, 0xffffffff),
+                                 Transaction::MakeId(1, 0xffffffff),
+                                 Transaction::MakeId(0xffffffff, 1)};
+      return kEdges[rng_.UniformU64(std::size(kEdges))];
+    }
+    const size_t c = rng_.UniformU64(kClients);
+    Stream& s = streams_[c];
+    constexpr uint64_t kW = TxIdSet::kWindowSeqs;
+    uint64_t seq;
+    if (roll < 145) {
+      seq = s.next - std::min<uint64_t>(s.next, 1 + rng_.UniformU64(3 * kW));
+    } else if (roll < 175) {
+      seq = s.next + kW + rng_.UniformU64(kW);
+    } else {
+      if (roll < 180) {
+        const uint64_t depths[] = {1, 16, 64, kW / 2, kW * 3 / 2};
+        s.depth = depths[rng_.UniformU64(std::size(depths))];
+      }
+      if (c == kClients - 1 && rng_.Chance(0.0002)) {
+        s.next += kW + rng_.UniformU64(kW);  // Never sent: a permanent gap.
+      }
+      while (s.buffer.size() < s.depth) {
+        s.buffer.push_back(s.next++);
+      }
+      // Oldest first half the time, so every buffered seq leaves within a bounded lag.
+      if (rng_.Chance(0.5)) {
+        seq = s.buffer.front();
+        s.buffer.pop_front();
+      } else {
+        const size_t pick = rng_.UniformU64(s.buffer.size());
+        seq = s.buffer[pick];
+        s.buffer[pick] = s.buffer.back();
+        s.buffer.pop_back();
+      }
+    }
+    return Transaction::MakeId(kClientIds[c], static_cast<uint32_t>(seq));
+  }
+
+  Rng& rng() { return rng_; }
+
+ private:
+  struct Stream {
+    uint64_t next = 0;
+    uint64_t depth = 1;
+    std::deque<uint64_t> buffer;  // Roughly oldest first.
+  };
+  static constexpr size_t kClients = 4;
+  static constexpr uint32_t kClientIds[kClients] = {0, 1, 7, 0xffffffff};
+  Rng rng_;
+  Stream streams_[kClients];
+};
+
+TEST(MempoolTest, IdSetMembershipDifferentialVsPlainSet) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    IdSource source(seed);
+    TxIdSet set;
+    std::unordered_set<uint64_t> reference;
+    for (int i = 0; i < 100'000; ++i) {
+      const uint64_t id = source.Next();
+      if (source.rng().Chance(0.3)) {
+        ASSERT_EQ(set.Contains(id), reference.count(id) != 0) << "seed " << seed << " op " << i;
+      } else {
+        ASSERT_EQ(set.Insert(id), reference.insert(id).second) << "seed " << seed << " op " << i;
+      }
+    }
+    for (const uint64_t id : reference) {
+      ASSERT_TRUE(set.Contains(id)) << "seed " << seed;
+    }
+  }
+}
+
+TEST(MempoolTest, DifferentialFuzzAgainstTwoSetReference) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    IdSource source(seed * 7919);
+    Rng& rng = source.rng();
+    Mempool pool;
+    ReferenceMempool reference;
+    std::vector<Transaction> seen;  // Candidates for commits, in submission order.
+    for (int step = 0; step < 3'000; ++step) {
+      const uint64_t roll = rng.UniformU64(10);
+      if (roll < 5) {
+        std::vector<Transaction> txs(1 + rng.UniformU64(40));
+        for (Transaction& tx : txs) {
+          tx = Transaction{source.Next(), step, static_cast<uint32_t>(rng.UniformU64(512))};
+          seen.push_back(tx);
+        }
+        pool.AddBatch(txs);
+        reference.AddBatch(txs);
+      } else if (roll < 7) {
+        const size_t max = rng.UniformU64(60);
+        const auto got = pool.TakeBatch(max);
+        const auto want = reference.TakeBatch(max);
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " step " << step;
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].id, want[i].id) << "seed " << seed << " step " << step;
+          ASSERT_EQ(got[i].submit_time, want[i].submit_time);
+        }
+      } else if (!seen.empty()) {
+        // Commit a block: mostly a run from the oldest uncommitted submissions (commit
+        // order tracks FIFO order), sometimes scattered picks or ids never submitted here.
+        std::vector<Transaction> block;
+        const size_t len = 1 + rng.UniformU64(50);
+        const size_t start = rng.Chance(0.7) ? rng.UniformU64(std::min<size_t>(seen.size(), 64))
+                                             : rng.UniformU64(seen.size());
+        for (size_t i = 0; i < len; ++i) {
+          if (rng.Chance(0.1)) {
+            block.push_back(Transaction{source.Next(), step, 0});
+          } else if (rng.Chance(0.2)) {
+            block.push_back(seen[rng.UniformU64(seen.size())]);
+          } else if (start + i < seen.size()) {
+            block.push_back(seen[start + i]);
+          }
+        }
+        pool.MarkCommitted(block);
+        reference.MarkCommitted(block);
+        const size_t drop = std::min(seen.size(), rng.UniformU64(len + 1));
+        seen.erase(seen.begin(), seen.begin() + static_cast<std::ptrdiff_t>(drop));
+      }
+    }
+    const auto got = pool.TakeBatch(SIZE_MAX);
+    const auto want = reference.TakeBatch(SIZE_MAX);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].id, want[i].id) << "seed " << seed;
+    }
+  }
+}
+
+TEST(MempoolTest, InOrderStreamsKeepRetainedStateConstant) {
+  // Submit-then-commit in FIFO order, as a backup sees a saturating client: the queue
+  // drains through eviction and the id sets stop at one window per client and set.
+  Mempool pool;
+  for (uint32_t chunk = 0; chunk < 500; ++chunk) {
+    for (uint32_t client : {1u, 2u, 3u}) {
+      std::vector<Transaction> txs;
+      for (uint32_t i = 0; i < 200; ++i) {
+        txs.push_back(Transaction{Transaction::MakeId(client, chunk * 200 + i), 0, 8});
+      }
+      pool.AddBatch(txs);
+      pool.MarkCommitted(txs);
+    }
+  }
+  EXPECT_EQ(pool.pending(), 0u);
+  EXPECT_EQ(pool.ids_tracked(), 2 * 3 * TxIdSet::kWindowWords);
 }
 
 // --- Certificates ---

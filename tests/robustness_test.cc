@@ -1,9 +1,10 @@
-// Robustness edges: fuzzed deserialization, NIC egress queueing, block-store pruning, and
-// pacemaker behaviour under pathological timeouts.
+// Robustness edges: fuzzed deserialization, NIC egress queueing, block-store pruning,
+// pacemaker behaviour under pathological timeouts, and bounded mempool state.
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
 #include "src/common/serde.h"
+#include "src/consensus/mempool.h"
 #include "src/harness/cluster.h"
 
 namespace achilles {
@@ -186,6 +187,50 @@ TEST(TimeoutStormTest, AllProtocolsSurviveJitteryLinks) {
     EXPECT_FALSE(cluster.tracker().safety_violated())
         << ProtocolName(protocol) << ": " << cluster.tracker().violation();
     EXPECT_GT(cluster.tracker().max_committed_height(), 3u) << ProtocolName(protocol);
+  }
+}
+
+// --- Retained-state soak ---
+
+// Under a saturating client every replica's mempool state must plateau. With two
+// ever-growing id sets, every replica's id count grew by one per committed tx; without
+// commit-time eviction, a stable leader's backups (Raft) queued every tx ever submitted.
+// Achilles rotates leaders, so there the queue is drained by each replica's own turns.
+TEST(RetainedStateSoakTest, SaturatedMempoolStateStaysBounded) {
+  for (const Protocol protocol : {Protocol::kAchilles, Protocol::kRaft}) {
+    SCOPED_TRACE(ProtocolName(protocol));
+    ClusterConfig config;
+    config.protocol = protocol;
+    config.f = 1;
+    config.payload_size = 64;
+    config.base_timeout = Ms(100);
+    Cluster cluster(config);
+    cluster.Start();
+    auto sample = [&cluster](const char* name) {
+      cluster.RefreshFootprintGauges();
+      std::vector<double> values;
+      for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
+        values.push_back(
+            cluster.metrics().GetGauge(name, {{"node", std::to_string(i)}})->value());
+      }
+      return values;
+    };
+    cluster.sim().RunFor(Sec(2));
+    const uint64_t committed_early = cluster.tracker().total_committed_txs();
+    const std::vector<double> pending_early = sample("mempool.pending");
+    const std::vector<double> ids_early = sample("mempool.ids_tracked");
+    cluster.sim().RunFor(Sec(6));
+    const std::vector<double> pending_late = sample("mempool.pending");
+    const std::vector<double> ids_late = sample("mempool.ids_tracked");
+
+    // Far more txs flow through than the slack below, so linear growth cannot hide in it.
+    const double outstanding = 10.0 * static_cast<double>(config.batch_size);
+    EXPECT_GT(cluster.tracker().total_committed_txs() - committed_early, 20 * outstanding);
+    for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
+      EXPECT_GT(ids_early[i], 0.0) << "replica " << i;
+      EXPECT_LE(pending_late[i], pending_early[i] + outstanding) << "replica " << i;
+      EXPECT_LE(ids_late[i], ids_early[i] + 2.0 * TxIdSet::kWindowWords) << "replica " << i;
+    }
   }
 }
 
