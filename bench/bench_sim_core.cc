@@ -2,11 +2,15 @@
 // (reference binary heap vs production calendar queue) on adversarial time
 // distributions, plus the allocation counters that show the slab pool and raw-callback
 // paths doing their job (DESIGN.md §2.21). No cluster, no protocols — this isolates the
-// scheduling hot path that dominates bench_fig4_saturation's wall clock.
+// scheduling hot path that dominates bench_fig4_saturation's wall clock. A second table
+// times the mempool on the traffic shapes a saturated replica sees.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 
+#include "src/consensus/mempool.h"
 #include "src/harness/bench_report.h"
 #include "src/harness/experiment.h"
 #include "src/sim/simulation.h"
@@ -106,6 +110,78 @@ EngineResult RunEngine(SimEngine engine, const Profile& profile, uint64_t budget
   return r;
 }
 
+struct MempoolShape {
+  const char* name;
+  uint32_t clients;         // In-order clients; their chunks arrive round-robin.
+  uint32_t spam_per_chunk;  // Random-id txs (a Byzantine spammer's) after each chunk.
+};
+
+constexpr MempoolShape kMempoolShapes[] = {
+    {"1 in-order client", 1, 0},
+    {"8 interleaved clients", 8, 0},
+    {"in-order + spammer spill", 1, 4},
+};
+
+struct MempoolResult {
+  double add_ns_per_tx = 0.0;
+  double take_ns_per_tx = 0.0;
+  double commit_ns_per_tx = 0.0;
+  size_t ids_tracked = 0;
+};
+
+// One replica's mempool under saturating clients: 200-tx chunks arrive, and every 400
+// queued txs a block commits them in FIFO order. One block in four is this replica's own
+// (TakeBatch, as under leader rotation); the rest were cut by other leaders, so commit
+// evicts them from the queue front.
+MempoolResult RunMempool(const MempoolShape& shape, uint64_t budget) {
+  using Clock = std::chrono::steady_clock;
+  constexpr uint32_t kChunk = 200;
+  constexpr size_t kBlock = 400;
+  Mempool pool;
+  Rng rng(42);
+  std::vector<uint32_t> next_seq(shape.clients, 0);
+  std::deque<Transaction> fifo;  // The uncommitted txs, in queue order.
+  Clock::duration add{};
+  Clock::duration take{};
+  Clock::duration commit{};
+  uint64_t added = 0;
+  uint64_t taken = 0;
+  uint64_t committed = 0;
+  const auto timed = [](Clock::duration* total, auto&& fn) {
+    const auto start = Clock::now();
+    fn();
+    *total += Clock::now() - start;
+  };
+  for (uint64_t chunk = 0, blocks = 0; added < budget; ++chunk) {
+    const uint32_t client = static_cast<uint32_t>(chunk % shape.clients);
+    std::vector<Transaction> txs;
+    for (uint32_t i = 0; i < kChunk; ++i) {
+      txs.push_back(Transaction{Transaction::MakeId(client + 1, next_seq[client]++), 0, 256});
+    }
+    for (uint32_t i = 0; i < shape.spam_per_chunk; ++i) {
+      txs.push_back(Transaction{rng.NextU64(), 0, 256});
+    }
+    timed(&add, [&] { pool.AddBatch(txs); });
+    added += txs.size();
+    fifo.insert(fifo.end(), txs.begin(), txs.end());
+    while (fifo.size() >= kBlock) {
+      std::vector<Transaction> block(fifo.begin(), fifo.begin() + kBlock);
+      fifo.erase(fifo.begin(), fifo.begin() + kBlock);
+      if (blocks++ % 4 == 0) {
+        timed(&take, [&] { block = pool.TakeBatch(kBlock); });
+        taken += block.size();
+      }
+      timed(&commit, [&] { pool.MarkCommitted(block); });
+      committed += block.size();
+    }
+  }
+  const auto per_tx = [](Clock::duration d, uint64_t n) {
+    return n == 0 ? 0.0 : std::chrono::duration<double, std::nano>(d).count() / n;
+  };
+  return {per_tx(add, added), per_tx(take, taken), per_tx(commit, committed),
+          pool.ids_tracked()};
+}
+
 int Main() {
   const uint64_t budget =
       static_cast<uint64_t>(2'000'000 * BenchScale()) < 100'000
@@ -131,6 +207,21 @@ int Main() {
   table.Print();
   std::printf("\nSteady-state protocol traffic schedules through the raw path: boxed\n");
   std::printf("events stay at zero and the pool's slab count bounds total allocation.\n");
+
+  const uint64_t tx_budget = std::max<uint64_t>(
+      200'000, static_cast<uint64_t>(4'000'000 * BenchScale()));
+  std::printf("\n# Mempool — one replica's traffic shapes (%llu txs/shape, ns per tx)\n\n",
+              static_cast<unsigned long long>(tx_budget));
+  TablePrinter mempool_table(
+      {"shape", "AddBatch ns/tx", "TakeBatch ns/tx", "MarkCommitted ns/tx", "ids tracked"});
+  for (const MempoolShape& shape : kMempoolShapes) {
+    const MempoolResult r = RunMempool(shape, tx_budget);
+    mempool_table.AddRow({shape.name, TablePrinter::Num(r.add_ns_per_tx, 2),
+                          TablePrinter::Num(r.take_ns_per_tx, 2),
+                          TablePrinter::Num(r.commit_ns_per_tx, 2),
+                          std::to_string(r.ids_tracked)});
+  }
+  mempool_table.Print();
   return 0;
 }
 

@@ -87,6 +87,19 @@ class U64Set {
     return true;
   }
 
+  // Calls `fn(key)` for every key, in no particular order.
+  template <typename Fn>
+  void ForEach(Fn fn) const {
+    if (has_empty_key_) {
+      fn(kEmpty);
+    }
+    for (uint64_t key : slots_) {
+      if (key != kEmpty) {
+        fn(key);
+      }
+    }
+  }
+
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 

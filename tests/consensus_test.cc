@@ -175,6 +175,10 @@ TEST(MempoolTest, CommittedTxsNeverReenterOrLeave) {
   EXPECT_EQ(batch[0].id, txs[2].id);
   pool.AddBatch({txs[0]});  // Resubmission of committed tx.
   EXPECT_EQ(pool.pending(), 0u);
+  const auto late = MakeTxs(2, 5);  // Committed before this replica saw them submitted.
+  pool.MarkCommitted(late);
+  pool.AddBatch(late);
+  EXPECT_EQ(pool.pending(), 0u);
 }
 
 TEST(MempoolTest, CommitEvictsCommittedQueueFront) {
@@ -297,6 +301,92 @@ class IdSource {
   Stream streams_[kClients];
 };
 
+// Draws id batches in the shapes clients and FIFO-cut blocks produce: runs of consecutive
+// seqs, some carrying one duplicate, one gap (the seq comes later, or never), one swapped
+// pair or one id far ahead (sent again in order later), some longer than the window, and
+// re-sent old runs, which may reach below where the stream started. One stream starts at
+// seq 0, one just below seq 2^32 - 1 (its runs straddle into the next client id), and one
+// far past the window width, as a replica that rebooted mid-run sees a client (its window
+// gets a floor). A last client sends isolated ids that never follow one another, so it
+// never gets a window.
+class BatchSource {
+ public:
+  explicit BatchSource(Rng& rng) : rng_(rng) {}
+
+  std::vector<uint64_t> Next() {
+    const size_t c = rng_.UniformU64(kStreams);
+    Stream& s = streams_[c];
+    std::vector<uint64_t> ids;
+    if (c == kStreams - 1) {
+      for (uint64_t n = 1 + rng_.UniformU64(4); n > 0; --n) {
+        ids.push_back(s.next);
+        s.next += 2 + rng_.UniformU64(8);
+      }
+      return ids;
+    }
+    if (!s.held.empty() && rng_.Chance(0.2)) {
+      ids.push_back(s.held.back());  // A gap filled late.
+      s.held.pop_back();
+      return ids;
+    }
+    constexpr uint64_t kW = TxIdSet::kWindowSeqs;
+    const uint64_t len = 1 + rng_.UniformU64(rng_.Chance(0.03) ? 2 * kW : 400);
+    const uint64_t from = rng_.Chance(0.05) ? s.next - len : s.next;  // Re-sent.
+    for (uint64_t id = from; id < from + len; ++id) {
+      ids.push_back(id);
+    }
+    s.next = std::max(s.next, from + len);
+    const size_t k = rng_.UniformU64(ids.size());
+    switch (rng_.UniformU64(16)) {
+      case 0:
+        ids.insert(ids.begin() + static_cast<std::ptrdiff_t>(k), ids[rng_.UniformU64(k + 1)]);
+        break;
+      case 1:
+        if (rng_.Chance(0.97)) {
+          s.held.push_back(ids[k]);
+        }
+        ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(k));
+        break;
+      case 2:
+        if (k + 1 < ids.size()) {
+          std::swap(ids[k], ids[k + 1]);
+        }
+        break;
+      case 3:
+        ids.push_back(s.next + kW + rng_.UniformU64(kW));
+        break;
+      default:
+        break;
+    }
+    return ids;
+  }
+
+ private:
+  struct Stream {
+    uint64_t next;
+    std::vector<uint64_t> held;  // Gapped ids still to come.
+  };
+  static constexpr size_t kStreams = 4;
+  static constexpr uint64_t StartOf(uint32_t client, uint64_t seq) {
+    return (uint64_t{client} << 32) + seq;
+  }
+  Rng& rng_;
+  Stream streams_[kStreams] = {
+      {StartOf(2, 0), {}},
+      {StartOf(3, 0xffffffff - 3000), {}},
+      {StartOf(5, 10 * TxIdSet::kWindowSeqs), {}},
+      {StartOf(9, 5 * TxIdSet::kWindowSeqs), {}},
+  };
+};
+
+std::vector<Transaction> TxsOf(const std::vector<uint64_t>& ids, SimTime t) {
+  std::vector<Transaction> txs;
+  for (const uint64_t id : ids) {
+    txs.push_back(Transaction{id, t, 8});
+  }
+  return txs;
+}
+
 TEST(MempoolTest, IdSetMembershipDifferentialVsPlainSet) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     IdSource source(seed);
@@ -316,20 +406,137 @@ TEST(MempoolTest, IdSetMembershipDifferentialVsPlainSet) {
   }
 }
 
+// InsertRun/ContainsRun against per-id Insert/Contains on a twin set fed the same ids:
+// same verdicts, same membership, same retained state, and the per-id verdicts are a
+// plain set's. InsertRun takes only fresh in-order runs; a refused run changes nothing
+// and goes in id by id, as the mempool does.
+TEST(MempoolTest, IdSetRunOpsAgreeWithPerIdOps) {
+  {
+    TxIdSet set;
+    EXPECT_FALSE(set.InsertRun(Transaction::MakeId(1, 0), 10));  // No window yet.
+    EXPECT_TRUE(set.Insert(Transaction::MakeId(1, 0)));
+    EXPECT_TRUE(set.InsertRun(Transaction::MakeId(1, 1), 400));
+    EXPECT_TRUE(set.ContainsRun(Transaction::MakeId(1, 0), 401));
+    EXPECT_FALSE(set.ContainsRun(Transaction::MakeId(1, 0), 402));
+    EXPECT_FALSE(set.InsertRun(Transaction::MakeId(1, 400), 2));  // Starts below.
+    EXPECT_TRUE(set.Insert(Transaction::MakeId(1, 402)));
+    EXPECT_FALSE(set.InsertRun(Transaction::MakeId(1, 401), 5));  // Overlaps 402.
+    EXPECT_FALSE(set.InsertRun(Transaction::MakeId(1, 401), 1));  // Next bit set.
+    EXPECT_TRUE(set.Insert(Transaction::MakeId(1, 401)));
+    EXPECT_TRUE(set.InsertRun(Transaction::MakeId(1, 403), 2 * TxIdSet::kWindowSeqs));
+    EXPECT_EQ(set.tracked(), TxIdSet::kWindowWords);
+  }
+  {
+    // An id spilled far ahead stays a member when the in-order stream reaches it.
+    TxIdSet set;
+    const uint64_t ahead = Transaction::MakeId(1, 5000);
+    EXPECT_TRUE(set.Insert(Transaction::MakeId(1, 0)));
+    EXPECT_TRUE(set.Insert(ahead));
+    EXPECT_FALSE(set.InsertRun(Transaction::MakeId(1, 1), 5000));
+    for (uint32_t seq = 1; seq < 5000; ++seq) {
+      EXPECT_TRUE(set.Insert(Transaction::MakeId(1, seq)));
+    }
+    EXPECT_FALSE(set.Insert(ahead));
+    EXPECT_EQ(set.tracked(), TxIdSet::kWindowWords);  // The watermark absorbed it.
+    // A run ending right below a set bit on a word boundary leaves the watermark there.
+    EXPECT_TRUE(set.Insert(Transaction::MakeId(1, 5056)));
+    EXPECT_FALSE(set.InsertRun(Transaction::MakeId(1, 5001), 55));
+  }
+  {
+    // A client first seen past the window width: its second in-sequence id opens a window
+    // floored at the first, and below the floor only the spill answers.
+    TxIdSet set;
+    EXPECT_TRUE(set.Insert(Transaction::MakeId(1, 10'000)));
+    EXPECT_TRUE(set.Insert(Transaction::MakeId(1, 10'001)));
+    EXPECT_EQ(set.tracked(), TxIdSet::kWindowWords);
+    EXPECT_TRUE(set.ContainsRun(Transaction::MakeId(1, 10'000), 2));
+    EXPECT_FALSE(set.ContainsRun(Transaction::MakeId(1, 9'990), 12));
+    EXPECT_TRUE(set.Insert(Transaction::MakeId(1, 9'995)));
+    EXPECT_FALSE(set.Insert(Transaction::MakeId(1, 9'995)));
+    EXPECT_TRUE(set.ContainsRun(Transaction::MakeId(1, 9'995), 1));
+    // A run that wraps past seq 2^32 - 1 into the next client goes in id by id.
+    EXPECT_TRUE(set.Insert(Transaction::MakeId(3, 0xffffffff - 10)));
+    EXPECT_TRUE(set.Insert(Transaction::MakeId(3, 0xffffffff - 9)));
+    EXPECT_FALSE(set.InsertRun(Transaction::MakeId(3, 0xffffffff - 8), 20));
+  }
+  size_t in_one_step = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    IdSource source(seed);
+    BatchSource batches(source.rng());
+    TxIdSet by_run;
+    TxIdSet by_id;
+    std::unordered_set<uint64_t> reference;
+    for (int i = 0; i < 2'000; ++i) {
+      if (source.rng().Chance(0.2)) {
+        const uint64_t id = source.Next();  // Spammer ids, stragglers, edge ids.
+        const bool fresh = reference.insert(id).second;
+        ASSERT_EQ(by_id.Insert(id), fresh) << "seed " << seed << " op " << i;
+        ASSERT_EQ(by_run.Insert(id), fresh) << "seed " << seed << " op " << i;
+        continue;
+      }
+      // Like the mempool, take the batch one maximal run of consecutive ids at a time.
+      const std::vector<uint64_t> ids = batches.Next();
+      for (size_t begin = 0, count = 0; begin < ids.size(); begin += count) {
+        const uint64_t first = ids[begin];
+        for (count = 1; begin + count < ids.size() && ids[begin + count] == first + count;
+             ++count) {
+        }
+        bool all_members = true;
+        for (size_t k = 0; k < count; ++k) {
+          all_members = all_members && by_id.Contains(first + k);
+        }
+        ASSERT_EQ(by_run.ContainsRun(first, count), all_members) << "seed " << seed;
+        std::vector<bool> fresh(count);
+        for (size_t k = 0; k < count; ++k) {
+          fresh[k] = by_id.Insert(first + k);
+          ASSERT_EQ(fresh[k], reference.insert(first + k).second) << "seed " << seed;
+        }
+        const size_t tracked_before = by_run.tracked();
+        if (by_run.InsertRun(first, count)) {
+          ASSERT_TRUE(std::all_of(fresh.begin(), fresh.end(), [](bool b) { return b; }));
+          ++in_one_step;
+        } else {
+          ASSERT_EQ(by_run.tracked(), tracked_before) << "seed " << seed;
+          for (size_t k = 0; k < count; ++k) {
+            ASSERT_EQ(by_run.Insert(first + k), fresh[k]) << "seed " << seed;
+          }
+        }
+        ASSERT_EQ(by_run.tracked(), by_id.tracked()) << "seed " << seed;
+        for (uint64_t id = first - 2; id != first + count + 2; ++id) {
+          ASSERT_EQ(by_run.Contains(id), by_id.Contains(id)) << "seed " << seed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(in_one_step, 1000u);  // The in-order path is exercised, not just refused.
+}
+
 TEST(MempoolTest, DifferentialFuzzAgainstTwoSetReference) {
   for (uint64_t seed = 1; seed <= 30; ++seed) {
     IdSource source(seed * 7919);
     Rng& rng = source.rng();
+    BatchSource batches(rng);
     Mempool pool;
     ReferenceMempool reference;
-    std::vector<Transaction> seen;  // Candidates for commits, in submission order.
+    std::deque<Transaction> seen;  // Candidates for commits: recent submissions, in order.
     for (int step = 0; step < 3'000; ++step) {
       const uint64_t roll = rng.UniformU64(10);
       if (roll < 5) {
         std::vector<Transaction> txs(1 + rng.UniformU64(40));
-        for (Transaction& tx : txs) {
-          tx = Transaction{source.Next(), step, static_cast<uint32_t>(rng.UniformU64(512))};
-          seen.push_back(tx);
+        if (rng.Chance(0.5)) {
+          txs = TxsOf(batches.Next(), step);
+          if (rng.Chance(0.3)) {  // Runs of several clients back to back.
+            const std::vector<Transaction> more = TxsOf(batches.Next(), step);
+            txs.insert(txs.end(), more.begin(), more.end());
+          }
+        } else {
+          for (Transaction& tx : txs) {
+            tx = Transaction{source.Next(), step, static_cast<uint32_t>(rng.UniformU64(512))};
+          }
+        }
+        seen.insert(seen.end(), txs.begin(), txs.end());
+        while (seen.size() > 2 * TxIdSet::kWindowSeqs) {
+          seen.pop_front();
         }
         pool.AddBatch(txs);
         reference.AddBatch(txs);
@@ -344,9 +551,10 @@ TEST(MempoolTest, DifferentialFuzzAgainstTwoSetReference) {
         }
       } else if (!seen.empty()) {
         // Commit a block: mostly a run from the oldest uncommitted submissions (commit
-        // order tracks FIFO order), sometimes scattered picks or ids never submitted here.
+        // order tracks FIFO order), sometimes scattered picks or ids never submitted here,
+        // or a whole batch-shaped block this pool never saw submitted.
         std::vector<Transaction> block;
-        const size_t len = 1 + rng.UniformU64(50);
+        const size_t len = 1 + rng.UniformU64(rng.Chance(0.2) ? 400 : 50);
         const size_t start = rng.Chance(0.7) ? rng.UniformU64(std::min<size_t>(seen.size(), 64))
                                              : rng.UniformU64(seen.size());
         for (size_t i = 0; i < len; ++i) {
@@ -357,6 +565,9 @@ TEST(MempoolTest, DifferentialFuzzAgainstTwoSetReference) {
           } else if (start + i < seen.size()) {
             block.push_back(seen[start + i]);
           }
+        }
+        if (rng.Chance(0.1)) {
+          block = TxsOf(batches.Next(), step);
         }
         pool.MarkCommitted(block);
         reference.MarkCommitted(block);

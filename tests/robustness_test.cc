@@ -2,6 +2,7 @@
 // pacemaker behaviour under pathological timeouts, and bounded mempool state.
 #include <gtest/gtest.h>
 
+#include "src/achilles/replica.h"
 #include "src/common/rng.h"
 #include "src/common/serde.h"
 #include "src/consensus/mempool.h"
@@ -192,6 +193,24 @@ TEST(TimeoutStormTest, AllProtocolsSurviveJitteryLinks) {
 
 // --- Retained-state soak ---
 
+std::vector<double> SampleGauge(Cluster& cluster, const char* name) {
+  cluster.RefreshFootprintGauges();
+  std::vector<double> values;
+  for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
+    values.push_back(cluster.metrics().GetGauge(name, {{"node", std::to_string(i)}})->value());
+  }
+  return values;
+}
+
+ClusterConfig SaturatedConfig(Protocol protocol) {
+  ClusterConfig config;
+  config.protocol = protocol;
+  config.f = 1;
+  config.payload_size = 64;
+  config.base_timeout = Ms(100);
+  return config;
+}
+
 // Under a saturating client every replica's mempool state must plateau. With two
 // ever-growing id sets, every replica's id count grew by one per committed tx; without
 // commit-time eviction, a stable leader's backups (Raft) queued every tx ever submitted.
@@ -199,29 +218,16 @@ TEST(TimeoutStormTest, AllProtocolsSurviveJitteryLinks) {
 TEST(RetainedStateSoakTest, SaturatedMempoolStateStaysBounded) {
   for (const Protocol protocol : {Protocol::kAchilles, Protocol::kRaft}) {
     SCOPED_TRACE(ProtocolName(protocol));
-    ClusterConfig config;
-    config.protocol = protocol;
-    config.f = 1;
-    config.payload_size = 64;
-    config.base_timeout = Ms(100);
+    const ClusterConfig config = SaturatedConfig(protocol);
     Cluster cluster(config);
     cluster.Start();
-    auto sample = [&cluster](const char* name) {
-      cluster.RefreshFootprintGauges();
-      std::vector<double> values;
-      for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
-        values.push_back(
-            cluster.metrics().GetGauge(name, {{"node", std::to_string(i)}})->value());
-      }
-      return values;
-    };
     cluster.sim().RunFor(Sec(2));
     const uint64_t committed_early = cluster.tracker().total_committed_txs();
-    const std::vector<double> pending_early = sample("mempool.pending");
-    const std::vector<double> ids_early = sample("mempool.ids_tracked");
+    const std::vector<double> pending_early = SampleGauge(cluster, "mempool.pending");
+    const std::vector<double> ids_early = SampleGauge(cluster, "mempool.ids_tracked");
     cluster.sim().RunFor(Sec(6));
-    const std::vector<double> pending_late = sample("mempool.pending");
-    const std::vector<double> ids_late = sample("mempool.ids_tracked");
+    const std::vector<double> pending_late = SampleGauge(cluster, "mempool.pending");
+    const std::vector<double> ids_late = SampleGauge(cluster, "mempool.ids_tracked");
 
     // Far more txs flow through than the slack below, so linear growth cannot hide in it.
     const double outstanding = 10.0 * static_cast<double>(config.batch_size);
@@ -231,6 +237,37 @@ TEST(RetainedStateSoakTest, SaturatedMempoolStateStaysBounded) {
       EXPECT_LE(pending_late[i], pending_early[i] + outstanding) << "replica " << i;
       EXPECT_LE(ids_late[i], ids_early[i] + 2.0 * TxIdSet::kWindowWords) << "replica " << i;
     }
+  }
+}
+
+// A replica rebooted mid-run first sees every client id far past the window width. Its id
+// sets must still open windows, floored where its streams resume, instead of spilling
+// every id for the rest of the run.
+TEST(RetainedStateSoakTest, RebootedReplicaMempoolStateStaysBounded) {
+  const ClusterConfig config = SaturatedConfig(Protocol::kAchilles);
+  Cluster cluster(config);
+  cluster.Start();
+  constexpr uint32_t kVictim = 1;
+  cluster.sim().RunFor(Sec(2));
+  cluster.CrashReplica(kVictim);
+  cluster.RebootReplica(kVictim);
+  cluster.sim().RunFor(Sec(2));
+  const auto* rebooted = dynamic_cast<const AchillesReplica*>(cluster.replica(kVictim));
+  ASSERT_NE(rebooted, nullptr);
+  ASSERT_GE(rebooted->recovery_completed_at(), 0);
+  const uint64_t committed_early = cluster.tracker().committed_height(kVictim);
+  const std::vector<double> ids_early = SampleGauge(cluster, "mempool.ids_tracked");
+  cluster.sim().RunFor(Sec(6));
+  const std::vector<double> ids_late = SampleGauge(cluster, "mempool.ids_tracked");
+
+  // The rebooted replica keeps committing, so its streams keep flowing through its sets.
+  EXPECT_GT(cluster.tracker().committed_height(kVictim), committed_early + 100);
+  // Slack for ids of txs submitted before the reboot but committed after it: they sit
+  // below a floor, in the spill.
+  const double floor_slack = static_cast<double>(config.batch_size);
+  for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
+    EXPECT_LE(ids_late[i], ids_early[i] + 2.0 * TxIdSet::kWindowWords + floor_slack)
+        << "replica " << i;
   }
 }
 
