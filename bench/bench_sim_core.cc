@@ -87,9 +87,8 @@ struct Driver {
 };
 
 template <class Queue>
-EngineResult RunEngine(SimEngine engine, const Profile& profile, uint64_t budget,
-                       uint64_t seed) {
-  SimulationT<Queue> sim(seed, engine);
+EngineResult RunEngine(const Profile& profile, uint64_t budget, uint64_t seed) {
+  SimulationT<Queue> sim(seed);
   Driver<Queue> driver{&sim, &profile, budget, kInvalidEvent};
   // Seed a handful of initial chains so the queue carries realistic parallelism.
   for (int i = 0; i < 64 && driver.remaining > 0; ++i, --driver.remaining) {
@@ -194,9 +193,8 @@ int Main() {
   for (const Profile& profile : kProfiles) {
     for (int e = 0; e < 2; ++e) {
       const bool calendar = e == 1;
-      EngineResult r =
-          calendar ? RunEngine<CalendarQueue>(SimEngine::kCalendar, profile, budget, 42)
-                   : RunEngine<HeapQueue>(SimEngine::kHeap, profile, budget, 42);
+      EngineResult r = calendar ? RunEngine<CalendarQueue>(profile, budget, 42)
+                                : RunEngine<HeapQueue>(profile, budget, 42);
       table.AddRow({profile.name, calendar ? "calendar" : "heap",
                     TablePrinter::Num(r.ops_per_sec / 1e6, 3) + "M",
                     std::to_string(r.peak_pending), std::to_string(r.pool_slabs),

@@ -281,7 +281,6 @@ ChaosResult RunChaosScript(const ChaosOptions& options, uint64_t seed, Protocol 
                                  options.broken == BrokenVariant::kQuorumRestoreSkip ||
                                  options.broken == BrokenVariant::kCertFloorSkip;
   config.journaling = options.journal;
-  config.engine = options.engine;
   const bool app_kv = options.app_kv || options.broken == BrokenVariant::kStaleReadLease;
   config.app_kv = app_kv;
   config.kv.break_stale_read_lease = options.broken == BrokenVariant::kStaleReadLease;

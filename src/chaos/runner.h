@@ -74,9 +74,6 @@ struct ChaosOptions {
   // Run the replicated KV app (src/app) behind the protocol and judge the client-observed
   // history with the linearizability checker at the horizon. Implied by kStaleReadLease.
   bool app_kv = false;
-  // Event-queue engine (--engine heap|calendar). Digests must be bit-identical across
-  // engines; the equivalence suite sweeps both and compares.
-  SimEngine engine = SimEngine::kCalendar;
 };
 
 struct ChaosResult {

@@ -179,6 +179,9 @@ void Sha256::ProcessBlocks(const uint8_t* blocks, size_t n) {
 }
 
 void Sha256::Update(ByteView data) {
+  if (data.empty()) {
+    return;  // An empty span may carry a null data(), which memcpy must never see.
+  }
   total_len_ += data.size();
   size_t offset = 0;
   if (buffer_len_ > 0) {

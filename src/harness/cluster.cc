@@ -87,7 +87,7 @@ Cluster::Cluster(const ClusterConfig& config)
       n_(ReplicasFor(config.protocol, config.f)),
       tracer_(config.trace_capacity),
       journal_(config.journal_control_capacity, config.journal_flow_capacity),
-      sim_(config.seed, config.engine),
+      sim_(config.seed),
       net_(&sim_, config.net),
       suite_(config.scheme, n_, config.seed ^ 0x5eedc0deULL),
       tracker_(n_) {

@@ -74,10 +74,6 @@ struct ClusterConfig {
   SimDuration base_timeout = Ms(500);
   bool commit_fast_path = true;  // Achilles NEW-VIEW optimization (ablation knob).
   uint64_t seed = 1;
-  // Event-queue engine for the whole cluster simulation. The calendar queue is the
-  // production engine; the heap engine is the reference the digest-equivalence suite
-  // races it against (tests/sim_determinism_test.cc, chaos_main --engine).
-  SimEngine engine = SimEngine::kCalendar;
   SignatureScheme scheme = SignatureScheme::kFastHmac;
   bool with_client = true;
   double client_rate_tps = 0.0;     // 0 = saturating client.

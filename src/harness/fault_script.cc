@@ -371,13 +371,7 @@ bool ScriptArtifact::FromText(const std::string& text, ScriptArtifact* out) {
   if (!std::getline(in, line)) {
     return false;
   }
-  // v1 reboot events carried a bare RollbackMode in arg; v2 carries EncodeStorageFate()
-  // without a snapshot byte (bits 16+ are zero, so it decodes as kIntact and parses
-  // unchanged); v3 adds the checkpoint snapshot fate at bits 16-23; v4 adds the
-  // defense-backend peer fate at bits 24-31 plus the `defense <name>` header line.
-  const bool v1 = line == "chaos-script v1";
-  if (!v1 && line != "chaos-script v2" && line != "chaos-script v3" &&
-      line != "chaos-script v4") {
+  if (line != "chaos-script v4") {
     return false;
   }
   Protocol proto;
@@ -421,22 +415,6 @@ bool ScriptArtifact::FromText(const std::string& text, ScriptArtifact* out) {
       fields >> event.at >> kind_name >> event.node >> event.peer >> event.arg;
       if (fields.fail() || !FaultKindFromName(kind_name, &event.kind)) {
         return false;
-      }
-      if (v1 && event.kind == FaultKind::kReboot) {
-        // Upgrade the overloaded RollbackMode to a per-surface fate (host WAL intact;
-        // kLatest -> fresh blobs, kErase -> erased, kOldest/kPinned -> stale replay).
-        StorageFate fate;
-        switch (static_cast<RollbackMode>(event.arg)) {
-          case RollbackMode::kLatest:
-            break;
-          case RollbackMode::kErase:
-            fate.sealed = SealedFate::kErased;
-            break;
-          default:
-            fate.sealed = SealedFate::kStale;
-            break;
-        }
-        event.arg = EncodeStorageFate(fate);
       }
       out->script.events.push_back(event);
     } else if (key == "heal") {

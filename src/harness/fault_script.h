@@ -33,15 +33,13 @@ const char* SealedFateName(SealedFate fate);
 // fault vocabularies by design: the host WAL/record store suffers only crash-consistency
 // faults (torn tail, lost unsynced suffix — never rollback), sealed blobs suffer
 // only adversarial replay (never torn writes; the sealing device write is atomic), the
-// checkpoint snapshot record (v3) is an adversarial host surface of its own — stale /
+// checkpoint snapshot record is an adversarial host surface of its own — stale /
 // erased / corrupt, rollback detectable only where the certificate is TEE-sealed — and
-// the defense-backend peer quorum (v4) can lose/regress the rebooting owner's replicated
+// the defense-backend peer quorum can lose/regress the rebooting owner's replicated
 // copies at one holder (stale / erased; src/storage/defense.h — bounded at one holder so
 // a fresh peer always survives, matching the backends' f < n/2 storage-fault assumption).
 // Encoded into FaultEvent::arg as (wal | sealed << 8 | snapshot << 16 | defense << 24);
-// the all-honest fate encodes to 0, which keeps v1 scripts (arg = RollbackMode, honest =
-// kLatest = 0), v2 scripts (no snapshot byte) and v3 scripts (no defense byte)
-// meaning-compatible.
+// the all-honest fate encodes to 0.
 struct StorageFate {
   storage::WalFate wal = storage::WalFate::kIntact;
   SealedFate sealed = SealedFate::kFresh;
@@ -112,8 +110,8 @@ struct ScriptParams {
   // Rollback-defense backend the run is configured with (--defense). Under a quorum
   // backend the sampler adds peer-quorum fates at reboot and extends sealed-fate attacks
   // to every backend-using protocol (the backend, not the protocol, must cope). All extra
-  // RNG draws are gated behind defense != kLocal so kLocal streams — and therefore replay
-  // digests of every pre-v4 artifact — are unchanged.
+  // RNG draws are gated behind defense != kLocal so kLocal streams — and therefore their
+  // replay digests — do not depend on the quorum-fate sampler.
   persist::DefenseKind defense = persist::DefenseKind::kLocal;
   SimTime heal_at = Ms(1800);
   SimDuration liveness_window = Sec(8);
@@ -137,7 +135,7 @@ struct ScriptArtifact {
   std::string protocol;  // ProtocolName() string.
   uint32_t f = 1;
   uint64_t seed = 0;
-  // DefenseKindName() string (v4 header line; absent in v1-v3, defaulting to "local").
+  // DefenseKindName() string (`defense` header line; "local" when absent).
   std::string defense = "local";
   FaultScript script;
 

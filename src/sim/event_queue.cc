@@ -1,33 +1,10 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/common/check.h"
 
 namespace achilles {
-
-const char* SimEngineName(SimEngine engine) {
-  switch (engine) {
-    case SimEngine::kCalendar:
-      return "calendar";
-    case SimEngine::kHeap:
-      return "heap";
-  }
-  return "unknown";
-}
-
-bool SimEngineFromName(std::string_view name, SimEngine* out) {
-  if (name == "calendar") {
-    *out = SimEngine::kCalendar;
-    return true;
-  }
-  if (name == "heap") {
-    *out = SimEngine::kHeap;
-    return true;
-  }
-  return false;
-}
 
 // --- EventPool ---
 
@@ -134,7 +111,7 @@ EventNode* HeapQueue::PopEarliest(EventPool& pool) {
 
 // --- CalendarQueue ---
 
-CalendarQueue::CalendarQueue(SimEngine) : buckets_(kMinBuckets) {}
+CalendarQueue::CalendarQueue() : buckets_(kMinBuckets) {}
 
 void CalendarQueue::InsertNode(EventNode* n) {
   const uint64_t day = DayOf(n->time);

@@ -2,25 +2,21 @@
 //
 // Events are slab-pooled, intrusively-linked EventNodes; the queue engines order them
 // strictly by (time, seq) — seq is the global schedule order, so equal-time events pop
-// FIFO. Two interchangeable engines implement the same compile-time interface:
+// FIFO. Two engines implement the same compile-time interface:
 //
-//   HeapQueue     the reference engine: a binary heap of node pointers with lazy
-//                 cancellation (a cancelled node stays in the heap, marked, and is
-//                 reclaimed when it surfaces). Simple and obviously correct — the
-//                 differential test in tests/sim_queue_test.cc races CalendarQueue
-//                 against it.
-//   CalendarQueue the hot-path engine (Brown 1988): an adaptive ring of "day" buckets,
+//   CalendarQueue the production engine (Brown 1988): an adaptive ring of "day" buckets,
 //                 each a sorted intrusive list. Schedule and pop are O(1) amortized;
 //                 cancel unlinks in O(1) via the node pointer. Bucket count and width
 //                 adapt to the live event population.
-//   DualQueue     both engines behind one runtime switch, so a whole Cluster/chaos run
-//                 can be executed under either engine from a config knob while the
-//                 pure engines stay available as template parameters for head-to-head
-//                 benchmarks.
+//   HeapQueue     the reference engine: a binary heap of node pointers with lazy
+//                 cancellation (a cancelled node stays in the heap, marked, and is
+//                 reclaimed when it surfaces). Simple and obviously correct; it exists
+//                 only as the oracle that tests/sim_queue_test.cc fuzzes CalendarQueue
+//                 against and as bench_sim_core's head-to-head baseline.
 //
-// Determinism contract: both engines dequeue in exactly (time, seq) order, so the
-// simulation schedule — and therefore every event-log/journal/KV-history digest — is
-// bit-identical regardless of engine. The equivalence suite enforces this.
+// Determinism contract: both engines dequeue in exactly (time, seq) order. The
+// differential fuzz enforces that; the golden-digest table in
+// tests/sim_determinism_test.cc pins the resulting event-log/journal/KV-history digests.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -28,21 +24,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "src/common/sim_time.h"
 
 namespace achilles {
-
-// Which queue engine a Simulation (or a whole Cluster / chaos run) executes under.
-enum class SimEngine : uint8_t {
-  kCalendar,  // Calendar queue + pooled nodes (default, fast path).
-  kHeap,      // Reference binary heap (equivalence runs, differential tests).
-};
-
-const char* SimEngineName(SimEngine engine);
-bool SimEngineFromName(std::string_view name, SimEngine* out);
 
 // Fixed-shape event callback: no allocation, no type erasure. The dominant events
 // (message delivery, timer fire, drain start) all fit (obj, a, b).
@@ -99,8 +85,6 @@ class EventPool {
 // Reference engine: binary heap ordered by (time, seq), lazy cancellation.
 class HeapQueue {
  public:
-  explicit HeapQueue(SimEngine = SimEngine::kHeap) {}
-
   void Push(EventNode* n);
   // Earliest live node, or nullptr when empty. Reclaims cancelled nodes that surface.
   EventNode* PeekEarliest(EventPool& pool);
@@ -132,7 +116,7 @@ class HeapQueue {
 // re-estimated from the earliest events at every resize.
 class CalendarQueue {
  public:
-  explicit CalendarQueue(SimEngine = SimEngine::kCalendar);
+  CalendarQueue();
 
   void Push(EventNode* n);
   EventNode* PeekEarliest(EventPool& pool);
@@ -165,45 +149,6 @@ class CalendarQueue {
   uint64_t cur_day_ = 0;
   size_t size_ = 0;
   uint64_t resizes_ = 0;
-};
-
-// Runtime-selected engine: the one the production Simulation alias uses, so benches,
-// clusters, and chaos runs can flip engines from a config knob. The branch per op is
-// perfectly predicted (the engine never changes mid-run) and costs nothing measurable
-// next to the queue work itself.
-class DualQueue {
- public:
-  explicit DualQueue(SimEngine engine) : engine_(engine) {}
-
-  SimEngine engine() const { return engine_; }
-
-  void Push(EventNode* n) {
-    if (engine_ == SimEngine::kCalendar) {
-      calendar_.Push(n);
-    } else {
-      heap_.Push(n);
-    }
-  }
-  EventNode* PeekEarliest(EventPool& pool) {
-    return engine_ == SimEngine::kCalendar ? calendar_.PeekEarliest(pool)
-                                           : heap_.PeekEarliest(pool);
-  }
-  EventNode* PopEarliest(EventPool& pool) {
-    return engine_ == SimEngine::kCalendar ? calendar_.PopEarliest(pool)
-                                           : heap_.PopEarliest(pool);
-  }
-  void Remove(EventNode* n, EventPool& pool) {
-    if (engine_ == SimEngine::kCalendar) {
-      calendar_.Remove(n, pool);
-    } else {
-      heap_.Remove(n, pool);
-    }
-  }
-
- private:
-  SimEngine engine_;
-  CalendarQueue calendar_;
-  HeapQueue heap_;
 };
 
 }  // namespace achilles

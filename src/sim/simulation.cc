@@ -3,10 +3,9 @@
 namespace achilles {
 
 // The simulation core is a header template (the queue engine is a compile-time
-// parameter); instantiate the three engine combinations once here so every other
-// translation unit links against these.
+// parameter); instantiate both engines once here so every other translation unit links
+// against these.
 template class SimulationT<HeapQueue>;
 template class SimulationT<CalendarQueue>;
-template class SimulationT<DualQueue>;
 
 }  // namespace achilles

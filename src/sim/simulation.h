@@ -1,11 +1,9 @@
 // Deterministic discrete-event simulation core: a virtual clock and an event queue. All
 // randomness flows from the simulation seed, so runs are exactly reproducible.
 //
-// The queue engine is a template parameter (src/sim/event_queue.h): the production alias
-// `Simulation` runs on DualQueue, whose engine (calendar queue vs reference heap) is picked
-// at construction — one knob flips a whole cluster or chaos run between engines for the
-// digest-equivalence suite. The pure-engine instantiations SimulationT<HeapQueue> and
-// SimulationT<CalendarQueue> race head-to-head in tests/sim_queue_test.cc and
+// The queue engine is a template parameter (src/sim/event_queue.h). The production alias
+// `Simulation` runs on the calendar queue; SimulationT<HeapQueue> exists only so the
+// reference heap engine can race it in tests/sim_queue_test.cc's differential fuzz and in
 // bench_sim_core.
 //
 // Events come in two shapes (DESIGN.md §2.21):
@@ -48,8 +46,7 @@ inline constexpr EventId kInvalidEvent{};
 template <class Queue>
 class SimulationT {
  public:
-  explicit SimulationT(uint64_t seed, SimEngine engine = SimEngine::kCalendar)
-      : queue_(engine), rng_(seed) {}
+  explicit SimulationT(uint64_t seed) : rng_(seed) {}
 
   SimulationT(const SimulationT&) = delete;
   SimulationT& operator=(const SimulationT&) = delete;
@@ -179,10 +176,9 @@ class SimulationT {
 
 extern template class SimulationT<HeapQueue>;
 extern template class SimulationT<CalendarQueue>;
-extern template class SimulationT<DualQueue>;
 
-// The production simulation: engine selected at construction (calendar by default).
-using Simulation = SimulationT<DualQueue>;
+// The production simulation.
+using Simulation = SimulationT<CalendarQueue>;
 
 }  // namespace achilles
 

@@ -270,21 +270,16 @@ TEST(ChaosScriptV4Test, DefenseHeaderAndPeerFateRoundTrip) {
   EXPECT_EQ(parsed.ToText(), text);  // Canonical form is a fixed point.
 }
 
-TEST(ChaosScriptV4Test, PreV4TextsParseWithLocalDefenseDefault) {
-  // v1-v3 artifacts carry no defense line; they must keep meaning exactly what they
-  // meant — the local backend, peer quorum untouched.
-  ScriptArtifact parsed;
-  ASSERT_TRUE(ScriptArtifact::FromText(
-      "chaos-script v3\nprotocol Achilles\nf 1\nseed 4\n"
+TEST(ChaosScriptV4Test, PreV4HeadersAreRejected) {
+  // Only v4 artifacts are read; an older header is refused rather than reinterpreted.
+  const std::string body =
+      "\nprotocol Achilles\nf 1\nseed 4\n"
       "event 100000000 reboot 1 0 257\n"
-      "heal 1400000000\nhorizon 2000000000\n",
-      &parsed));
-  EXPECT_EQ(parsed.defense, "local");
-  const StorageFate fate = DecodeStorageFate(parsed.script.events[0].arg);
-  EXPECT_EQ(fate.defense, persist::DefenseFate::kIntact);
-  // Re-serialization upgrades the header but preserves the fate bytes verbatim.
-  EXPECT_NE(parsed.ToText().find("chaos-script v4"), std::string::npos);
-  EXPECT_NE(parsed.ToText().find("event 100000000 reboot 1 0 257"), std::string::npos);
+      "heal 1400000000\nhorizon 2000000000\n";
+  ScriptArtifact parsed;
+  EXPECT_FALSE(ScriptArtifact::FromText("chaos-script v3" + body, &parsed));
+  ASSERT_TRUE(ScriptArtifact::FromText("chaos-script v4" + body, &parsed));
+  EXPECT_EQ(parsed.defense, "local");  // A v4 text without a defense line means local.
 }
 
 TEST(ChaosScriptV4Test, QuorumDefenseSweepStaysCleanAndReplaysDigestStable) {
@@ -367,7 +362,7 @@ TEST(ChaosBrokenVariantTest, CertFloorSkipIsFlagged) {
 TEST(ChaosRegressionTest, DuplicatedVoteResponseMustNotElectAMinorityLeader) {
   ScriptArtifact artifact;
   ASSERT_TRUE(ScriptArtifact::FromText(
-      "chaos-script v3\nprotocol BRaft\nf 2\nseed 17\n"
+      "chaos-script v4\nprotocol BRaft\nf 2\nseed 17\ndefense local\n"
       "event 428184172 jitter-on 0 0 947907\n"
       "event 430924395 stall 1 0 218665280\n"
       "event 508532317 partition 4 3 0\n"

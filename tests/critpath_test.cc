@@ -276,22 +276,17 @@ TEST(CritPathClusterTest, ProfilerIsZeroPerturbation) {
   EXPECT_EQ(journal_off, journal_on);
 }
 
-TEST(CritPathClusterTest, DigestStableAcrossReplayAndEngines) {
-  std::string digests[3];
-  const SimEngine engines[3] = {SimEngine::kCalendar, SimEngine::kCalendar,
-                                SimEngine::kHeap};
-  for (int i = 0; i < 3; ++i) {
-    ClusterConfig config = CritConfig(Protocol::kAchilles, 1234);
-    config.engine = engines[i];
-    Cluster cluster(config);
+TEST(CritPathClusterTest, DigestStableAcrossReplay) {
+  std::string digests[2];
+  for (int i = 0; i < 2; ++i) {
+    Cluster cluster(CritConfig(Protocol::kAchilles, 1234));
     const RunStats stats = cluster.RunMeasured(Ms(200), Ms(800));
     ASSERT_TRUE(stats.safety_ok);
     ASSERT_GT(stats.critpath.commits, 0u);
     digests[i] = stats.critpath.digest_hex;
     EXPECT_EQ(digests[i].size(), 64u);
   }
-  EXPECT_EQ(digests[0], digests[1]);  // Replay determinism.
-  EXPECT_EQ(digests[0], digests[2]);  // Engine equivalence.
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 TEST(CritPathClusterTest, TruncationGaugesAlwaysExported) {

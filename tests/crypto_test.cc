@@ -476,9 +476,10 @@ TEST(SchnorrBatchTest, EmptyAndSingletonBatches) {
   EXPECT_TRUE(SchnorrBatchVerify({}).all_valid);
 
   const auto keys = BatchKeys(1);
-  const Bytes sig = SchnorrSign(keys[0], AsBytes("solo"));
+  const std::string msg = "solo";  // The batch holds a view, so the bytes must outlive it.
+  const Bytes sig = SchnorrSign(keys[0], AsBytes(msg));
   std::vector<SchnorrBatchInput> batch = {
-      {&keys[0].pub, AsBytes("solo"), ByteView(sig.data(), sig.size())}};
+      {&keys[0].pub, AsBytes(msg), ByteView(sig.data(), sig.size())}};
   EXPECT_TRUE(SchnorrBatchVerify(batch).all_valid);
 }
 
@@ -502,14 +503,15 @@ TEST(SchnorrBatchTest, OneBadSignatureIsRejectedAndIdentified) {
 
 TEST(SchnorrBatchTest, WrongMessageInBatchRejects) {
   const auto keys = BatchKeys(4);
+  const std::string honest = "honest message";
   std::vector<Bytes> sigs;
   for (size_t i = 0; i < keys.size(); ++i) {
-    sigs.push_back(SchnorrSign(keys[i], AsBytes("honest message")));
+    sigs.push_back(SchnorrSign(keys[i], AsBytes(honest)));
   }
   std::vector<SchnorrBatchInput> batch;
   const std::string forged = "forged message";
   for (size_t i = 0; i < keys.size(); ++i) {
-    batch.push_back({&keys[i].pub, i == 1 ? AsBytes(forged) : AsBytes("honest message"),
+    batch.push_back({&keys[i].pub, i == 1 ? AsBytes(forged) : AsBytes(honest),
                      ByteView(sigs[i].data(), sigs[i].size())});
   }
   const SchnorrBatchResult result = SchnorrBatchVerify(batch);
@@ -521,11 +523,13 @@ TEST(SchnorrBatchTest, SwappedSignaturesDoNotCancel) {
   // Two individually valid signatures attached to each other's slots: the deterministic
   // per-item weights make the linear combination reject the swap.
   const auto keys = BatchKeys(2);
-  const Bytes sig_a = SchnorrSign(keys[0], AsBytes("message A"));
-  const Bytes sig_b = SchnorrSign(keys[1], AsBytes("message B"));
+  const std::string msg_a = "message A";
+  const std::string msg_b = "message B";
+  const Bytes sig_a = SchnorrSign(keys[0], AsBytes(msg_a));
+  const Bytes sig_b = SchnorrSign(keys[1], AsBytes(msg_b));
   std::vector<SchnorrBatchInput> batch = {
-      {&keys[0].pub, AsBytes("message A"), ByteView(sig_b.data(), sig_b.size())},
-      {&keys[1].pub, AsBytes("message B"), ByteView(sig_a.data(), sig_a.size())},
+      {&keys[0].pub, AsBytes(msg_a), ByteView(sig_b.data(), sig_b.size())},
+      {&keys[1].pub, AsBytes(msg_b), ByteView(sig_a.data(), sig_a.size())},
   };
   const SchnorrBatchResult result = SchnorrBatchVerify(batch);
   EXPECT_FALSE(result.all_valid);
@@ -534,14 +538,15 @@ TEST(SchnorrBatchTest, SwappedSignaturesDoNotCancel) {
 
 TEST(SchnorrBatchTest, StructurallyInvalidSignatureFallsBack) {
   const auto keys = BatchKeys(3);
+  const std::string msg = "m";
   std::vector<Bytes> sigs;
   for (size_t i = 0; i < keys.size(); ++i) {
-    sigs.push_back(SchnorrSign(keys[i], AsBytes("m")));
+    sigs.push_back(SchnorrSign(keys[i], AsBytes(msg)));
   }
   sigs[2].resize(10);  // Truncated blob cannot even parse.
   std::vector<SchnorrBatchInput> batch;
   for (size_t i = 0; i < keys.size(); ++i) {
-    batch.push_back({&keys[i].pub, AsBytes("m"), ByteView(sigs[i].data(), sigs[i].size())});
+    batch.push_back({&keys[i].pub, AsBytes(msg), ByteView(sigs[i].data(), sigs[i].size())});
   }
   const SchnorrBatchResult result = SchnorrBatchVerify(batch);
   EXPECT_FALSE(result.all_valid);

@@ -198,12 +198,20 @@ TEST(LinearizabilityTest, KeysArePartitionedIndependently) {
 
 // Acceptance criterion (ISSUE 6): a reboot-weighted 200-seed honest sweep with the KV app
 // enabled passes every oracle — including the linearizability oracle, which runs on every
-// seed — across all ten protocols (the seed round-robins the protocol).
-TEST(KvChaosSweepTest, HonestRebootWeightedSweepIsClean) {
+// seed — across all ten protocols (the seed round-robins the protocol). Seeds 1-200 run
+// in ten shards (`Shards/…/N`), each its own ctest entry, so `ctest -j` spreads them.
+constexpr uint64_t kKvSweepSeeds = 200;
+constexpr int kKvSweepShards = 10;
+
+class KvChaosSweepTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KvChaosSweepTest, HonestRebootWeightedSweepIsClean) {
   ChaosOptions options;
   options.app_kv = true;
   options.reboot_prob = 0.85;
-  for (uint64_t seed = 1; seed <= 200; ++seed) {
+  const uint64_t per_shard = kKvSweepSeeds / kKvSweepShards;
+  const uint64_t first = 1 + static_cast<uint64_t>(GetParam()) * per_shard;
+  for (uint64_t seed = first; seed < first + per_shard; ++seed) {
     const ChaosResult result = chaos::RunChaosSeed(options, seed);
     ASSERT_TRUE(result.ok) << "seed " << seed << " (" << ProtocolName(result.protocol)
                            << "): " << result.violation;
@@ -211,7 +219,9 @@ TEST(KvChaosSweepTest, HonestRebootWeightedSweepIsClean) {
   }
 }
 
-TEST(KvChaosSweepTest, ReplayIsDigestStableDownToTheHistory) {
+INSTANTIATE_TEST_SUITE_P(Shards, KvChaosSweepTest, ::testing::Range(0, kKvSweepShards));
+
+TEST(KvChaosReplayTest, ReplayIsDigestStableDownToTheHistory) {
   ChaosOptions options;
   options.app_kv = true;
   options.reboot_prob = 0.85;
@@ -252,10 +262,11 @@ TEST(KvBrokenVariantTest, StaleReadLeaseIsFlaggedDeterministically) {
 TEST(KvLeaseEdgeTest, PartitionedHolderWithAnInFlightPutMustNotServeThatKey) {
   ScriptArtifact artifact;
   ASSERT_TRUE(ScriptArtifact::FromText(
-      "chaos-script v3\n"
+      "chaos-script v4\n"
       "protocol BRaft\n"
       "f 1\n"
       "seed 67\n"
+      "defense local\n"
       "event 346591047 partition 1 2 0\n"
       "heal 1400000000\n"
       "horizon 2000000000\n",

@@ -54,8 +54,8 @@ SimDuration DrawDelay(Rng& rng, int mode) {
 
 // Applies one identical op script to both engines and checks lockstep equivalence.
 void DifferentialFuzz(uint64_t seed, size_t num_ops) {
-  SimulationT<HeapQueue> heap(seed, SimEngine::kHeap);
-  SimulationT<CalendarQueue> cal(seed, SimEngine::kCalendar);
+  SimulationT<HeapQueue> heap(seed);
+  SimulationT<CalendarQueue> cal(seed);
   Probe<HeapQueue> hp{&heap, {}};
   Probe<CalendarQueue> cp{&cal, {}};
   Rng script(seed * 0x9e3779b97f4a7c15ULL + 1);
@@ -251,34 +251,6 @@ TEST(SimQueueDifferentialTest, PendingAndPeakAccountingHeap) {
 
 TEST(SimQueueDifferentialTest, PendingAndPeakAccountingCalendar) {
   PendingAndPeakAccounting<CalendarQueue>();
-}
-
-// The production DualQueue switch must behave exactly like the pure engines it wraps.
-TEST(SimQueueDifferentialTest, DualQueueMatchesPureEnginesUnderFuzz) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    Simulation heap_sim(seed, SimEngine::kHeap);
-    Simulation cal_sim(seed, SimEngine::kCalendar);
-    std::vector<Firing> heap_fired, cal_fired;
-    Rng script(seed);
-    for (int i = 0; i < 2'000; ++i) {
-      const SimDuration d =
-          static_cast<SimDuration>(script.UniformU64(static_cast<uint64_t>(Ms(5))));
-      const uint64_t t = static_cast<uint64_t>(i);
-      heap_sim.ScheduleAfter(d, [&heap_fired, &heap_sim, t] {
-        heap_fired.emplace_back(heap_sim.Now(), t);
-      });
-      cal_sim.ScheduleAfter(d, [&cal_fired, &cal_sim, t] {
-        cal_fired.emplace_back(cal_sim.Now(), t);
-      });
-      if (i % 5 == 0) {
-        heap_sim.Step();
-        cal_sim.Step();
-      }
-    }
-    heap_sim.RunUntilIdle();
-    cal_sim.RunUntilIdle();
-    ASSERT_EQ(heap_fired, cal_fired) << "seed " << seed;
-  }
 }
 
 }  // namespace

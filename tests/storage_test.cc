@@ -298,62 +298,8 @@ TEST(StorageFateTest, EncodeDecodeRoundTripsAllCombinations) {
       }
     }
   }
-  // The honest fate encodes to 0 == v1's RollbackMode::kLatest, keeping old scripts
-  // meaning-compatible (v2 fates likewise leave bits 16+ zero == snapshot kIntact).
+  // The honest fate encodes to 0, so an all-honest reboot event carries arg 0.
   EXPECT_EQ(EncodeStorageFate(StorageFate{}), 0u);
-}
-
-TEST(StorageFateTest, V1ScriptsUpgradeRollbackModesToFates) {
-  const std::string v1_text =
-      "chaos-script v1\n"
-      "protocol Damysus-R\n"
-      "f 1\n"
-      "seed 7\n"
-      "event 100 reboot 1 0 0\n"   // kLatest  -> {intact, fresh}
-      "event 200 reboot 1 0 1\n"   // kOldest  -> {intact, stale}
-      "event 300 reboot 1 0 2\n"   // kPinned  -> {intact, stale}
-      "event 400 reboot 1 0 3\n"   // kErase   -> {intact, erased}
-      "heal 1000\n"
-      "horizon 2000\n";
-  ScriptArtifact artifact;
-  ASSERT_TRUE(ScriptArtifact::FromText(v1_text, &artifact));
-  ASSERT_EQ(artifact.script.events.size(), 4u);
-  const SealedFate expected[] = {SealedFate::kFresh, SealedFate::kStale, SealedFate::kStale,
-                                 SealedFate::kErased};
-  for (size_t i = 0; i < 4; ++i) {
-    const StorageFate fate = DecodeStorageFate(artifact.script.events[i].arg);
-    EXPECT_EQ(fate.wal, storage::WalFate::kIntact);
-    EXPECT_EQ(fate.sealed, expected[i]) << "event " << i;
-  }
-}
-
-TEST(StorageFateTest, V2ScriptsParseWithSnapshotFateIntact) {
-  // A v2 artifact knows nothing of the snapshot byte: its reboot args stop at bit 15.
-  // Parsing must accept the old header and upgrade every fate to snapshot kIntact.
-  StorageFate v2_fate;
-  v2_fate.wal = storage::WalFate::kTornTail;
-  v2_fate.sealed = SealedFate::kStale;
-  const std::string v2_text =
-      "chaos-script v2\n"
-      "protocol BRaft\n"
-      "f 1\n"
-      "seed 9\n"
-      "event 100 reboot 1 0 " + std::to_string(EncodeStorageFate(v2_fate)) + "\n"
-      "heal 1000\n"
-      "horizon 2000\n";
-  ScriptArtifact artifact;
-  ASSERT_TRUE(ScriptArtifact::FromText(v2_text, &artifact));
-  ASSERT_EQ(artifact.script.events.size(), 1u);
-  const StorageFate fate = DecodeStorageFate(artifact.script.events[0].arg);
-  EXPECT_EQ(fate.wal, storage::WalFate::kTornTail);
-  EXPECT_EQ(fate.sealed, SealedFate::kStale);
-  EXPECT_EQ(fate.snapshot, checkpoint::SnapshotFate::kIntact);
-  // Re-serializing writes the current (v4) header with the arg unchanged.
-  const std::string text = artifact.ToText();
-  EXPECT_EQ(text.compare(0, 15, "chaos-script v4"), 0);
-  ScriptArtifact round;
-  ASSERT_TRUE(ScriptArtifact::FromText(text, &round));
-  EXPECT_EQ(round.script.events[0].arg, artifact.script.events[0].arg);
 }
 
 TEST(StorageFateTest, V3ScriptsRoundTripSnapshotFates) {
@@ -379,7 +325,7 @@ TEST(StorageFateTest, V3ScriptsRoundTripSnapshotFates) {
   EXPECT_EQ(back.wal, fate.wal);
   EXPECT_EQ(back.sealed, fate.sealed);
   EXPECT_EQ(back.snapshot, fate.snapshot);
-  EXPECT_EQ(parsed.ToText(), text);  // v3 canonical form is a fixed point.
+  EXPECT_EQ(parsed.ToText(), text);  // The canonical form is a fixed point.
 }
 
 TEST(StorageFateTest, EveryProtocolSupportsReboot) {

@@ -92,8 +92,7 @@ void Usage() {
                "cert-floor-skip]\n"
                "                  [--replay SEED] [--replay-file PATH] [--minimize SEED]\n"
                "                  [--reboot-weight P] [--ckpt-weight P] [--out-dir DIR]\n"
-               "                  [--engine heap|calendar] [--journal] [--explain]\n"
-               "                  [--coverage-out PATH] [--verbose]\n");
+               "                  [--journal] [--explain] [--coverage-out PATH] [--verbose]\n");
 }
 
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
@@ -189,13 +188,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       const char* value = next();
       if (value == nullptr) return false;
       args->coverage_out = value;
-    } else if (flag == "--engine") {
-      const char* value = next();
-      if (value == nullptr) return false;
-      if (!SimEngineFromName(value, &args->options.engine)) {
-        std::fprintf(stderr, "chaos_main: unknown engine '%s' (heap|calendar)\n", value);
-        return false;
-      }
     } else if (flag == "--journal") {
       args->options.journal = true;
     } else if (flag == "--explain") {
