@@ -8,7 +8,12 @@ namespace achilles {
 
 namespace {
 constexpr const char* kSealSlot = "achilles-checker";
+
+// True under a quorum rollback-defense backend (--defense rollbaccine/healer).
+bool QuorumDefended(EnclaveRuntime* enclave) {
+  return enclave->platform().defense_kind() != persist::DefenseKind::kLocal;
 }
+}  // namespace
 
 std::string AchRpyDomain(NodeId requester) {
   return std::string("achilles/RPY/") + std::to_string(requester);
@@ -22,8 +27,7 @@ AchillesChecker::AchillesChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f
       recovering_(!initial_launch),
       break_nonce_check_(break_nonce_check) {
   preph_ = Block::Genesis()->hash;  // (prepv, preph) = (0, H(G)), Algorithm 2 line 3.
-  if (!initial_launch &&
-      enclave_->defense().caps().kind != persist::DefenseKind::kLocal) {
+  if (!initial_launch && QuorumDefended(enclave_)) {
     // Racing Achilles against a storage-level defense: with a quorum backend the checker
     // state is persisted like the counter-based checkers', so on reboot we first try a
     // storage restore. A fresh record skips Algorithm 3 entirely (the backend IS the
@@ -65,21 +69,18 @@ AchillesChecker::AchillesChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f
 }
 
 void AchillesChecker::RecordStateUpdate() {
-  // Same snapshot shape the counter-based checkers seal. Under the local backend it goes
-  // to an explicitly volatile store — the durability class *is* the design statement (see
-  // persist.h): Achilles persists nothing and relies on Algorithm 3 recovery. Under a
-  // quorum defense (--defense rollbaccine/healer) the snapshot rides the backend instead,
-  // racing storage-level rollback defenses against the paper's network recovery.
-  ByteWriter w;
-  w.U64(vi_);
-  w.U8(static_cast<uint8_t>(flag_ ? 1 : 0));
-  w.U64(prepv_);
-  w.Raw(ByteView(preph_.data(), preph_.size()));
-  if (enclave_->defense().caps().kind != persist::DefenseKind::kLocal) {
+  // Under the local backend Achilles persists nothing and relies on Algorithm 3 recovery.
+  // Under a quorum defense (--defense rollbaccine/healer) the snapshot the counter-based
+  // checkers seal rides the backend instead, racing storage-level rollback defenses
+  // against the paper's network recovery.
+  if (QuorumDefended(enclave_)) {
+    ByteWriter w;
+    w.U64(vi_);
+    w.U8(static_cast<uint8_t>(flag_ ? 1 : 0));
+    w.U64(prepv_);
+    w.Raw(ByteView(preph_.data(), preph_.size()));
     version_ = enclave_->defense().Persist(kSealSlot,
                                            ByteView(w.bytes().data(), w.bytes().size()));
-  } else {
-    state_store_.Put(kSealSlot, ByteView(w.bytes().data(), w.bytes().size()));
   }
   ++state_updates_;
 }

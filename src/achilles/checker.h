@@ -18,7 +18,6 @@
 
 #include "src/consensus/certificates.h"
 #include "src/consensus/types.h"
-#include "src/storage/persist.h"
 #include "src/tee/enclave.h"
 
 namespace achilles {
@@ -105,9 +104,9 @@ class AchillesChecker {
   SignedCert MakeCert(const char* domain, const Hash256& hash, View view, uint64_t aux = 0,
                       uint64_t aux2 = 0);
 
-  // Books one state mutation through the checker's persist::Store. Achilles deliberately
-  // buys Durability::kVolatile here — where Damysus-R pays a counter write and a CFT
-  // protocol pays an fsync, Achilles persists nothing and relies on Algorithm 3 recovery.
+  // Books one state mutation. Where Damysus-R pays a counter write and a CFT protocol pays
+  // an fsync, Achilles persists nothing and relies on Algorithm 3 recovery; only a quorum
+  // defense backend gets the snapshot.
   void RecordStateUpdate();
 
   EnclaveRuntime* enclave_;
@@ -122,7 +121,6 @@ class AchillesChecker {
   uint64_t expected_nonce_ = 0;
   bool nonce_armed_ = false;
   bool break_nonce_check_ = false;  // Broken variant (oracle self-test); see constructor.
-  persist::VolatileStore state_store_;  // Explicitly volatile; dies with the enclave.
   uint64_t state_updates_ = 0;
   uint64_t version_ = 0;  // Defense-backend version (0 under --defense local).
 };

@@ -141,8 +141,8 @@ class ReplicaBase : public IProcess {
   // persist::Store handles above), never through HostStableStorage directly; persistence
   // semantics stay greppable at the persist:: seam.
   storage::WriteAheadLog& Wal(const std::string& name);
-  // Host-durable metadata records (persist::Durability::kHostDurable). Put is a sync put;
-  // PutAsync buys the torn-tail window deliberately.
+  // Host-durable metadata records (HostStableStorage::record_store()): every Put is a sync
+  // put, so a crash never loses one.
   persist::Store& HostRecords();
 
   NodeId id() const { return ctx_.platform->node_id(); }

@@ -30,30 +30,6 @@ bool DefenseKindFromName(std::string_view name, DefenseKind* out) {
   return false;
 }
 
-const char* FreshnessClassName(FreshnessClass c) {
-  switch (c) {
-    case FreshnessClass::kNone:
-      return "none";
-    case FreshnessClass::kDetect:
-      return "detect";
-    case FreshnessClass::kRecover:
-      return "recover";
-  }
-  return "?";
-}
-
-const char* OpenStatusName(OpenStatus s) {
-  switch (s) {
-    case OpenStatus::kFresh:
-      return "fresh";
-    case OpenStatus::kEmpty:
-      return "empty";
-    case OpenStatus::kRolledBack:
-      return "rolled-back";
-  }
-  return "?";
-}
-
 const char* DefenseFateName(DefenseFate fate) {
   switch (fate) {
     case DefenseFate::kIntact:

@@ -1,13 +1,12 @@
-// Pluggable rollback-defense backends. The enum-dispatch persistence model (persist.h:
-// pick a Durability class, get its fixed failure semantics) cannot express *competing
-// rollback defenses*: designs that buy freshness for sealed state through different
-// mechanisms at different costs. persist::Backend is that seam — a versioned-record
-// persistence surface with explicit anti-rollback capabilities, so the Damysus/OneShot
-// checkers and the checkpoint certificate floor can race Achilles' recovery against:
+// Pluggable rollback-defense backends: the one seam through which trusted state buys
+// freshness. Competing designs buy it for sealed state through different mechanisms at
+// different costs; persist::Backend is a versioned-record persistence surface each of them
+// implements, so the Damysus/OneShot checkers and the checkpoint certificate floor can
+// race Achilles' recovery against:
 //
 //   local        today's baseline: sealed blob + (when present) trusted monotonic counter.
 //                Detection only, and only with a counter device; the -R variants crash-stop
-//                on a version/counter mismatch.
+//                on a version/counter mismatch. An erased blob reads as a first boot.
 //   rollbaccine  Rollbaccine-style replicated disk: every Persist is acked by peer "disk"
 //                replicas over the (simulated) network, so recovery can take the freshest
 //                surviving copy — rollback of any single host is *repaired*, not just
@@ -47,31 +46,12 @@ inline constexpr int kNumDefenseKinds = 3;
 const char* DefenseKindName(DefenseKind kind);
 bool DefenseKindFromName(std::string_view name, DefenseKind* out);
 
-// Strongest freshness statement a backend can make about what Open returns.
-enum class FreshnessClass : uint8_t {
-  kNone = 0,   // May silently serve stale state (plain sealed storage, no counter).
-  kDetect,     // Stale state is detected and refused (counter compare, healer certs).
-  kRecover,    // Stale local state is replaced by a fresh copy (rollbaccine replication).
-};
-const char* FreshnessClassName(FreshnessClass c);
-
-// Capability matrix row (DESIGN.md §2.23); drives bench_defense's reporting and lets the
-// chaos oracles know which invariants a backend is even claiming.
-struct BackendCaps {
-  DefenseKind kind = DefenseKind::kLocal;
-  bool rollback_detection = false;   // Can Open ever report kRolledBack?
-  bool rollback_prevention = false;  // Can Open repair stale local state?
-  FreshnessClass freshness = FreshnessClass::kNone;
-  bool quorum_dependent = false;     // Persist/Open block on peer acknowledgements.
-};
-
 // Per-incarnation open verdict.
 enum class OpenStatus : uint8_t {
   kFresh = 0,   // Record is the freshest the backend can prove; safe to install.
   kEmpty,       // Nothing persisted under this key (first boot, or erased beyond repair).
   kRolledBack,  // Freshness check failed: local state is provably stale.
 };
-const char* OpenStatusName(OpenStatus s);
 
 struct OpenResult {
   OpenStatus status = OpenStatus::kEmpty;
@@ -95,7 +75,6 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  virtual BackendCaps caps() const = 0;
   virtual uint64_t Persist(const std::string& key, ByteView record) = 0;
   virtual OpenResult Open(const std::string& key, bool verify) = 0;
 

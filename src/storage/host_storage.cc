@@ -93,10 +93,6 @@ void HostDurableStore::Put(const std::string& key, ByteView record) {
   device_->records().Put(key, record, SyncMode::kSync);
 }
 
-void HostDurableStore::PutAsync(const std::string& key, ByteView record) {
-  device_->records().Put(key, record, SyncMode::kAsync);
-}
-
 std::optional<Bytes> HostDurableStore::Get(const std::string& key) {
   return device_->records().Get(key);
 }

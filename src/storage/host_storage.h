@@ -121,17 +121,12 @@ class RecordStore {
 };
 
 // persist::Store view over a HostStableStorage's record store: every Put is a sync put, so
-// the interface contract ("durable on return") holds for the host-durable class.
+// the interface contract ("durable on return") holds.
 class HostDurableStore final : public persist::Store {
  public:
   explicit HostDurableStore(HostStableStorage* device) : device_(device) {}
 
-  persist::Durability durability() const override {
-    return persist::Durability::kHostDurable;
-  }
   void Put(const std::string& key, ByteView record) override;
-  // Buffered put: durable only after the device's next sync barrier (torn-tail window).
-  void PutAsync(const std::string& key, ByteView record) override;
   std::optional<Bytes> Get(const std::string& key) override;
 
  private:
@@ -150,7 +145,7 @@ class HostStableStorage {
   // Named log, created empty on first use. References stay valid for the device's life.
   WriteAheadLog& Wal(const std::string& name);
   RecordStore& records() { return records_; }
-  // Unified-API handle for metadata records (persist::Durability::kHostDurable).
+  // persist::Store handle for metadata records (sync puts over records()).
   persist::Store& record_store() { return record_store_; }
 
   // Fsync barrier: makes every pending write (all logs + the record store) durable with a

@@ -1,21 +1,13 @@
-// Unified persistence API. The system has four places a replica can park state that must
-// outlive something: plain memory (outlives nothing), host stable storage (outlives
-// crashes, but suffers crash-consistency faults), TEE sealed storage (outlives crashes,
-// confidential+authenticated, but the paper's adversary may roll it back or erase it), and
-// the trusted monotonic counter (outlives crashes and cannot be rolled back, but holds only
-// a number). Historically each surface grew its own ad-hoc API; persist::Store gives them
-// one record-oriented interface with an explicit durability class, so protocol code states
-// *what guarantee it is buying* at every persistence point.
-//
-// The durability class is a property of the store handle, not of the call: code that needs
-// rollback resistance must hold a kTeeCounter (or kTeeSealed + counter-compare) store, and
-// code handed a kHostDurable store knows a reboot may surface torn/lost unsynced suffixes
-// but never an old value resurrected (no rollback adversary on the host disk — see
-// DESIGN.md "storage subsystem").
+// Keyed-record persistence interface. Three surfaces speak it: the host record store
+// (storage::HostStableStorage::record_store(); outlives crashes minus unsynced suffixes, no
+// rollback adversary), the enclave's sealed blobs (EnclaveRuntime::sealed_store();
+// outlives crashes, but the OS may roll them back or erase them), and a rollback-defense
+// backend's record facet (persist::Backend::store() in defense.h). The failure semantics
+// belong to the surface; the freshness guarantees, and the trusted counter that buys them
+// under the local defense, belong to the backend.
 #ifndef SRC_STORAGE_PERSIST_H_
 #define SRC_STORAGE_PERSIST_H_
 
-#include <map>
 #include <optional>
 #include <string>
 
@@ -24,54 +16,15 @@
 namespace achilles {
 namespace persist {
 
-enum class Durability : uint8_t {
-  kVolatile = 0,  // Plain memory; lost on crash. (Achilles' checker: recovery, not disk.)
-  kHostDurable,   // Host WAL/record store; survives crashes minus unsynced suffixes.
-  kTeeSealed,     // Sealed blobs; survives crashes, rollback adversary applies.
-  kTeeCounter,    // Trusted monotonic counter; survives crashes, rollback-free.
-};
-
-const char* DurabilityName(Durability d);
-
-// One keyed-record persistence surface. Put atomically replaces the record under `key`
-// and is durable per durability() when it returns (stores with async internals must sync
-// before returning). Get returns the surviving record, which after a crash reflects the
-// surface's failure semantics, not necessarily the last Put.
+// Put atomically replaces the record under `key` and is durable when it returns. Get
+// returns the surviving record, which after a crash reflects the surface's failure
+// semantics, not necessarily the last Put.
 class Store {
  public:
   virtual ~Store() = default;
 
-  virtual Durability durability() const = 0;
-
-  // False when the surface is absent on this platform (e.g. a counter-less TEE). Writes to
-  // an unavailable store are dropped; reads return nullopt / 0.
-  virtual bool available() const { return true; }
-
   virtual void Put(const std::string& key, ByteView record) = 0;
   virtual std::optional<Bytes> Get(const std::string& key) = 0;
-
-  // Deliberately-async put: the record is visible immediately but rides to durability on
-  // the surface's next sync barrier (host-durable stores override; everywhere else the
-  // distinction is meaningless and this is a plain Put). Protocol code uses it to state
-  // "losing the unsynced suffix of this is acceptable" without reaching below the
-  // persist::Store seam.
-  virtual void PutAsync(const std::string& key, ByteView record) { Put(key, record); }
-
-  // Monotonic-counter facet, meaningful only for kTeeCounter stores: Increment bumps and
-  // returns the new value, Read returns the current one. Record-only stores return 0.
-  virtual uint64_t Increment() { return 0; }
-  virtual uint64_t Read() { return 0; }
-};
-
-// In-memory store: explicit spelling of "this state is deliberately not persisted".
-class VolatileStore final : public Store {
- public:
-  Durability durability() const override { return Durability::kVolatile; }
-  void Put(const std::string& key, ByteView record) override;
-  std::optional<Bytes> Get(const std::string& key) override;
-
- private:
-  std::map<std::string, Bytes> records_;
 };
 
 }  // namespace persist

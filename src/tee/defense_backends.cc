@@ -11,10 +11,8 @@ namespace achilles {
 namespace {
 
 using persist::Backend;
-using persist::BackendCaps;
 using persist::DefenseKind;
 using persist::DefenseService;
-using persist::FreshnessClass;
 using persist::OpenResult;
 using persist::OpenStatus;
 
@@ -47,15 +45,12 @@ bool SplitVersioned(const Bytes& blob, Bytes* record, uint64_t* version) {
 
 // persist::Store facet over a quorum backend: Put buys a defended Persist, Get refuses
 // anything Open cannot certify fresh (a rolled-back checkpoint certificate reads as
-// missing, which keeps the checkpoint floor conservative). The counter facet is inert —
-// quorum backends replace the counter's anti-rollback role outright.
+// missing, which keeps the checkpoint floor conservative). Quorum backends replace the
+// counter's anti-rollback role outright, so no counter is touched here.
 class BackendStoreView final : public persist::Store {
  public:
   explicit BackendStoreView(Backend* backend) : backend_(backend) {}
 
-  persist::Durability durability() const override {
-    return persist::Durability::kTeeSealed;
-  }
   void Put(const std::string& key, ByteView record) override {
     backend_->Persist(key, record);
   }
@@ -72,24 +67,24 @@ class BackendStoreView final : public persist::Store {
 };
 
 // --- local: sealed blob + monotonic-counter compare (the historical defense) ---
+// The trusted counter is this backend's private detail, bumped and read only when the
+// platform has a counter device: without one, IncrementBlocking would still count a write
+// and journal a kCounterWrite. Open then has nothing to compare against, so a rolled-back
+// blob opens as fresh.
 class LocalCounterBackend final : public Backend {
  public:
   explicit LocalCounterBackend(EnclaveRuntime* enclave) : enclave_(enclave) {}
 
-  BackendCaps caps() const override {
-    BackendCaps caps;
-    caps.kind = DefenseKind::kLocal;
-    const bool counter = enclave_->counter_store().available();
-    caps.rollback_detection = counter;
-    caps.freshness = counter ? FreshnessClass::kDetect : FreshnessClass::kNone;
-    return caps;
-  }
-
   uint64_t Persist(const std::string& key, ByteView record) override {
     const uint64_t version = ++last_version_[key];
-    // Store-then-increment (§2.1): bind the new version, then bump the counter (a no-op
-    // without a device). This write is the 20-97 ms stall on the -R critical path.
-    enclave_->counter_store().Increment();
+    // Counter first, then the seal. A crash between the two would leave the counter ahead
+    // of the sealed version (a spurious rollback verdict at the next boot), but none can
+    // land there: handlers run to completion and crashes only land between handlers
+    // (DESIGN.md §2.18). The journal digest pins this order (kCounterWrite before kSeal).
+    // The counter write is the 20-97 ms stall on the -R critical path.
+    if (has_counter()) {
+      enclave_->platform().counter().IncrementBlocking();
+    }
     SealVersioned(enclave_, key, record, version);
     return version;
   }
@@ -104,11 +99,10 @@ class LocalCounterBackend final : public Backend {
     }
     result.record = std::move(record);
     result.version = version;
-    persist::Store& counter = enclave_->counter_store();
-    if (verify && counter.available()) {
+    if (verify && has_counter()) {
       // Rollback detection: the sealed version must match the counter exactly. A stale
       // blob (version < counter) means the OS rolled the state back.
-      result.expected_version = counter.Read();
+      result.expected_version = enclave_->platform().counter().ReadBlocking();
       if (version != result.expected_version) {
         result.status = OpenStatus::kRolledBack;
         last_version_[key] = std::max(version, result.expected_version);
@@ -130,6 +124,8 @@ class LocalCounterBackend final : public Backend {
   }
 
  private:
+  bool has_counter() { return enclave_->platform().counter().spec().enabled(); }
+
   EnclaveRuntime* enclave_;
   std::map<std::string, uint64_t> last_version_;
 };
@@ -169,16 +165,6 @@ class QuorumBackendBase : public Backend {
 class RollbaccineBackend final : public QuorumBackendBase {
  public:
   using QuorumBackendBase::QuorumBackendBase;
-
-  BackendCaps caps() const override {
-    BackendCaps caps;
-    caps.kind = DefenseKind::kRollbaccine;
-    caps.rollback_detection = true;
-    caps.rollback_prevention = true;
-    caps.freshness = FreshnessClass::kRecover;
-    caps.quorum_dependent = true;
-    return caps;
-  }
 
   uint64_t Persist(const std::string& key, ByteView record) override {
     const uint64_t version = ++last_version_[key];
@@ -233,15 +219,6 @@ class RollbaccineBackend final : public QuorumBackendBase {
 class HealerBackend final : public QuorumBackendBase {
  public:
   using QuorumBackendBase::QuorumBackendBase;
-
-  BackendCaps caps() const override {
-    BackendCaps caps;
-    caps.kind = DefenseKind::kHealer;
-    caps.rollback_detection = true;
-    caps.freshness = FreshnessClass::kDetect;
-    caps.quorum_dependent = true;
-    return caps;
-  }
 
   uint64_t Persist(const std::string& key, ByteView record) override {
     const uint64_t version = ++last_version_[key];

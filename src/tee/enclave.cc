@@ -94,28 +94,6 @@ std::optional<Bytes> SealedStore::Get(const std::string& key) {
   return enclave_->DoUnseal(key);
 }
 
-bool CounterStore::available() const {
-  return enclave_->platform_->counter().spec().enabled();
-}
-
-void CounterStore::Put(const std::string& key, ByteView record) {
-  (void)key;
-  (void)record;  // Counters hold no records; writes to this facet are dropped.
-}
-
-std::optional<Bytes> CounterStore::Get(const std::string& key) {
-  (void)key;
-  return std::nullopt;
-}
-
-uint64_t CounterStore::Increment() {
-  return available() ? enclave_->platform_->counter().IncrementBlocking() : 0;
-}
-
-uint64_t CounterStore::Read() {
-  return available() ? enclave_->platform_->counter().ReadBlocking() : 0;
-}
-
 void EnclaveRuntime::DoSeal(const std::string& slot, ByteView plaintext) {
   platform_->host().ChargeCpuAs(obs::Component::kCrypto, platform_->costs().seal_op);
   ChargeHash(plaintext.size());

@@ -18,37 +18,14 @@ namespace achilles {
 class EnclaveRuntime;
 
 // persist::Store view over the enclave's sealing surface (encrypt-then-MAC under the device
-// key). Durability class kTeeSealed: survives crashes, but the OS serves whatever version
-// it likes — rollback/erasure is this surface's adversary, freshness is NOT guaranteed.
+// key). Survives crashes, but the OS serves whatever version it likes — rollback/erasure is
+// this surface's adversary, freshness is NOT guaranteed (the defense backend adds it).
 class SealedStore final : public persist::Store {
  public:
   explicit SealedStore(EnclaveRuntime* enclave) : enclave_(enclave) {}
 
-  persist::Durability durability() const override {
-    return persist::Durability::kTeeSealed;
-  }
   void Put(const std::string& key, ByteView record) override;
   std::optional<Bytes> Get(const std::string& key) override;
-
- private:
-  EnclaveRuntime* enclave_;
-};
-
-// persist::Store view over the platform's trusted monotonic counter. Durability class
-// kTeeCounter: crash-surviving and rollback-free, but it holds a single number — the
-// record facet is inert (Put drops, Get returns nullopt); use Increment/Read.
-class CounterStore final : public persist::Store {
- public:
-  explicit CounterStore(EnclaveRuntime* enclave) : enclave_(enclave) {}
-
-  persist::Durability durability() const override {
-    return persist::Durability::kTeeCounter;
-  }
-  bool available() const override;
-  void Put(const std::string& key, ByteView record) override;
-  std::optional<Bytes> Get(const std::string& key) override;
-  uint64_t Increment() override;  // Blocking device write (charges write latency).
-  uint64_t Read() override;       // Blocking device read (charges read latency).
 
  private:
   EnclaveRuntime* enclave_;
@@ -74,18 +51,15 @@ class EnclaveRuntime {
   Signature Sign(ByteView digest);
   bool Verify(const Signature& sig, ByteView digest) const;
 
-  // --- Unified persistence handles (src/storage/persist.h) ---
-  // The two TEE-backed durability classes this enclave can buy. The host-durable class
-  // lives on the platform (platform().host_storage().record_store()); volatile is a plain
-  // persist::VolatileStore member wherever state is deliberately not persisted.
+  // Raw sealed blobs (src/storage/persist.h): rollback-prone, no freshness check. The
+  // defense backends seal through it.
   persist::Store& sealed_store() { return sealed_store_; }
-  persist::Store& counter_store() { return counter_store_; }
 
   // The rollback-defense backend this enclave's trusted state persists through
   // (src/storage/defense.h; built per the platform's configured DefenseKind). The
   // Damysus/OneShot/Achilles checkers and the checkpoint certificate floor run over this
-  // seam — not over sealed_store()/counter_store() directly — so competing defenses are
-  // swappable per run (--defense).
+  // seam — not over sealed_store() or the platform counter directly — so competing
+  // defenses are swappable per run (--defense).
   persist::Backend& defense() { return *defense_; }
 
   // Deterministic per-enclave nonce source (models RDRAND inside the enclave).
@@ -96,7 +70,6 @@ class EnclaveRuntime {
 
  private:
   friend class SealedStore;
-  friend class CounterStore;
 
   void DoSeal(const std::string& slot, ByteView plaintext);
   std::optional<Bytes> DoUnseal(const std::string& slot);
@@ -104,7 +77,6 @@ class EnclaveRuntime {
 
   NodePlatform* platform_;
   SealedStore sealed_store_{this};
-  CounterStore counter_store_{this};
   std::unique_ptr<persist::Backend> defense_;
   uint64_t seal_iv_ = 0;
   uint64_t nonce_state_;

@@ -2,11 +2,11 @@
 // Every backend is driven through the same persistence lifecycle a checker sees —
 // Persist during steady state, Open at the next incarnation's boot — under the storage
 // fates the chaos harness plants (rollback to oldest, erase, peer-holder attacks), and
-// must produce exactly the verdicts its capability matrix advertises:
+// must produce exactly the verdicts of its row in the capability matrix (kMatrix below):
 //
 //   local        detects rollback iff a counter device is present; never repairs.
-//   rollbaccine  repairs rollback AND erasure from peer copies (FreshnessClass::kRecover).
-//   healer       detects both from the certified floor but cannot repair (kDetect).
+//   rollbaccine  repairs rollback AND erasure from peer copies.
+//   healer       detects both from the certified floor but cannot repair.
 //
 // The suite is parameterized over DefenseKind so every shared contract (version
 // monotonicity, reboot round trips, the `verify=false` broken-variant hooks, version
@@ -25,12 +25,10 @@
 namespace achilles {
 namespace {
 
-using persist::BackendCaps;
 using persist::DefenseCosts;
 using persist::DefenseFate;
 using persist::DefenseKind;
 using persist::DefenseService;
-using persist::FreshnessClass;
 using persist::OpenResult;
 using persist::OpenStatus;
 
@@ -74,37 +72,50 @@ class DefenseBackendTest : public ::testing::TestWithParam<DefenseKind> {};
 
 // --- Capability matrix (DESIGN.md §2.23) ---
 
-TEST_P(DefenseBackendTest, CapsMatchAdvertisedMatrix) {
-  BackendFixture f(GetParam());
-  const BackendCaps caps = f.backend().caps();
-  EXPECT_EQ(caps.kind, GetParam());
-  switch (GetParam()) {
-    case DefenseKind::kLocal:
-      EXPECT_TRUE(caps.rollback_detection);  // Counter device present in this fixture.
-      EXPECT_FALSE(caps.rollback_prevention);
-      EXPECT_EQ(caps.freshness, FreshnessClass::kDetect);
-      EXPECT_FALSE(caps.quorum_dependent);
-      break;
-    case DefenseKind::kRollbaccine:
-      EXPECT_TRUE(caps.rollback_detection);
-      EXPECT_TRUE(caps.rollback_prevention);
-      EXPECT_EQ(caps.freshness, FreshnessClass::kRecover);
-      EXPECT_TRUE(caps.quorum_dependent);
-      break;
-    case DefenseKind::kHealer:
-      EXPECT_TRUE(caps.rollback_detection);
-      EXPECT_FALSE(caps.rollback_prevention);
-      EXPECT_EQ(caps.freshness, FreshnessClass::kDetect);
-      EXPECT_TRUE(caps.quorum_dependent);
-      break;
-  }
+// One backend's row: the verdicts it must reach after a device attack, with the counter
+// device of the default fixture present.
+struct MatrixRow {
+  DefenseKind kind;
+  OpenStatus rolled_back;  // Open verdict when the device serves the oldest blob.
+  OpenStatus erased;       // Open verdict when the device hides every blob.
+  bool repairs;            // Attacked opens install the freshest peer copy.
+  bool quorum_dependent;   // Persist waits on the peer holders.
+};
+
+constexpr MatrixRow kMatrix[] = {  // In DefenseKind order.
+    {DefenseKind::kLocal, OpenStatus::kRolledBack, OpenStatus::kEmpty, false, false},
+    {DefenseKind::kRollbaccine, OpenStatus::kFresh, OpenStatus::kFresh, true, true},
+    {DefenseKind::kHealer, OpenStatus::kRolledBack, OpenStatus::kRolledBack, false, true},
+};
+
+const MatrixRow& RowFor(DefenseKind kind) {
+  const MatrixRow& row = kMatrix[static_cast<int>(kind)];
+  EXPECT_EQ(row.kind, kind);
+  return row;
 }
 
-TEST(DefenseBackendCapsTest, LocalWithoutCounterCannotDetect) {
+TEST_P(DefenseBackendTest, QuorumDependenceMatchesMatrix) {
+  BackendFixture f(GetParam());
+  f.backend().Persist("ck", ByteView(B({1})));
+  const uint64_t peer_ops = f.service.replications() + f.service.certifications();
+  EXPECT_EQ(peer_ops > 0, RowFor(GetParam()).quorum_dependent);
+}
+
+TEST(DefenseBackendMatrixTest, LocalWithoutCounterOpensRolledBackBlobAsFresh) {
   BackendFixture f(DefenseKind::kLocal, CounterSpec::None());
-  const BackendCaps caps = f.backend().caps();
-  EXPECT_FALSE(caps.rollback_detection);
-  EXPECT_EQ(caps.freshness, FreshnessClass::kNone);
+  f.backend().Persist("ck", ByteView(B({1})));
+  f.backend().Persist("ck", ByteView(B({2})));
+  f.Reboot();
+  f.device().SetRollbackMode(RollbackMode::kOldest);
+  const OpenResult r = f.backend().Open("ck", /*verify=*/true);
+  f.device().SetRollbackMode(RollbackMode::kLatest);
+  // Nothing to compare the sealed version against: the stale blob is installed.
+  EXPECT_EQ(r.status, OpenStatus::kFresh);
+  ASSERT_TRUE(r.record.has_value());
+  EXPECT_EQ(*r.record, B({1}));
+  EXPECT_EQ(r.version, 1u);
+  EXPECT_EQ(r.expected_version, 0u);
+  EXPECT_EQ(f.platform->counter().writes(), 0u);  // No device, no counter write.
 }
 
 // --- Durability semantics: versioned round trips across incarnations ---
@@ -139,7 +150,8 @@ TEST_P(DefenseBackendTest, OpenUnknownKeyIsEmpty) {
 
 // --- The rollback attack (StorageFate wal=kOldest): detection vs repair ---
 
-TEST_P(DefenseBackendTest, RolledBackDeviceVerdictMatchesCaps) {
+TEST_P(DefenseBackendTest, RolledBackDeviceVerdictMatchesMatrix) {
+  const MatrixRow& row = RowFor(GetParam());
   BackendFixture f(GetParam());
   f.backend().Persist("ck", ByteView(B({1})));
   f.backend().Persist("ck", ByteView(B({2})));
@@ -148,31 +160,26 @@ TEST_P(DefenseBackendTest, RolledBackDeviceVerdictMatchesCaps) {
   const OpenResult r = f.backend().Open("ck", /*verify=*/true);
   f.device().SetRollbackMode(RollbackMode::kLatest);
   EXPECT_EQ(r.expected_version, 2u);  // Every backend proves the real freshness floor.
-  switch (GetParam()) {
-    case DefenseKind::kLocal:
-    case DefenseKind::kHealer:
-      // Detection without repair: refuse the stale record but surface it (a
-      // network-recovering caller wants the version numbers, not the bytes).
-      EXPECT_EQ(r.status, OpenStatus::kRolledBack);
-      ASSERT_TRUE(r.record.has_value());
-      EXPECT_EQ(*r.record, B({1}));
-      EXPECT_EQ(r.version, 1u);
-      EXPECT_FALSE(r.repaired);
-      break;
-    case DefenseKind::kRollbaccine:
-      // Herd immunity: the freshest peer copy replaces the stale blob.
-      EXPECT_EQ(r.status, OpenStatus::kFresh);
-      ASSERT_TRUE(r.record.has_value());
-      EXPECT_EQ(*r.record, B({2}));
-      EXPECT_EQ(r.version, 2u);
-      EXPECT_TRUE(r.repaired);
-      break;
+  EXPECT_EQ(r.status, row.rolled_back);
+  ASSERT_TRUE(r.record.has_value());
+  if (row.repairs) {
+    // Herd immunity: the freshest peer copy replaces the stale blob.
+    EXPECT_EQ(*r.record, B({2}));
+    EXPECT_EQ(r.version, 2u);
+    EXPECT_TRUE(r.repaired);
+  } else {
+    // Detection without repair: refuse the stale record but surface it (a
+    // network-recovering caller wants the version numbers, not the bytes).
+    EXPECT_EQ(*r.record, B({1}));
+    EXPECT_EQ(r.version, 1u);
+    EXPECT_FALSE(r.repaired);
   }
 }
 
 // --- The erase attack (StorageFate wal=kErase): the gap local cannot see ---
 
-TEST_P(DefenseBackendTest, ErasedDeviceVerdictMatchesCaps) {
+TEST_P(DefenseBackendTest, ErasedDeviceVerdictMatchesMatrix) {
+  const MatrixRow& row = RowFor(GetParam());
   BackendFixture f(GetParam());
   f.backend().Persist("ck", ByteView(B({1})));
   f.backend().Persist("ck", ByteView(B({2})));
@@ -180,26 +187,20 @@ TEST_P(DefenseBackendTest, ErasedDeviceVerdictMatchesCaps) {
   f.device().SetRollbackMode(RollbackMode::kErase);  // Adversary hides every version.
   const OpenResult r = f.backend().Open("ck", /*verify=*/true);
   f.device().SetRollbackMode(RollbackMode::kLatest);
-  switch (GetParam()) {
-    case DefenseKind::kLocal:
-      // The documented local gap: an erased blob is indistinguishable from first boot
-      // (the counter compare never runs without a blob). README threat-model row.
-      EXPECT_EQ(r.status, OpenStatus::kEmpty);
-      EXPECT_FALSE(r.record.has_value());
-      break;
-    case DefenseKind::kRollbaccine:
-      EXPECT_EQ(r.status, OpenStatus::kFresh);
-      ASSERT_TRUE(r.record.has_value());
-      EXPECT_EQ(*r.record, B({2}));
-      EXPECT_EQ(r.version, 2u);
-      EXPECT_TRUE(r.repaired);
-      break;
-    case DefenseKind::kHealer:
-      // Certificates prove state existed (floor 2) but cannot resurrect the bytes.
-      EXPECT_EQ(r.status, OpenStatus::kRolledBack);
-      EXPECT_FALSE(r.record.has_value());
-      EXPECT_EQ(r.expected_version, 2u);
-      break;
+  EXPECT_EQ(r.status, row.erased);
+  if (row.repairs) {
+    ASSERT_TRUE(r.record.has_value());
+    EXPECT_EQ(*r.record, B({2}));
+    EXPECT_EQ(r.version, 2u);
+    EXPECT_TRUE(r.repaired);
+  } else {
+    // Local's documented gap reads the erasure as a first boot (the counter compare never
+    // runs without a blob; README threat-model row). Healer's certificates prove state
+    // existed but cannot resurrect the bytes.
+    EXPECT_FALSE(r.record.has_value());
+  }
+  if (row.erased != OpenStatus::kEmpty) {
+    EXPECT_EQ(r.expected_version, 2u);
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for the host stable-storage subsystem (src/storage): WAL + record-store crash
-// semantics, the unified persist::Store durability classes, the per-surface StorageFate
+// semantics, the persist::Store record surfaces, the per-surface StorageFate
 // reboot encoding, and full reboot-recovery through the cluster for every protocol.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "src/storage/host_storage.h"
 #include "src/storage/persist.h"
 #include "src/tee/enclave.h"
-#include "src/tee/monotonic_counter.h"
 #include "src/tee/platform.h"
 
 namespace achilles {
@@ -212,22 +211,11 @@ TEST(RecordStoreTest, TornTailRevertsOnlyTheLastUnsyncedPut) {
   EXPECT_FALSE(records.Get("b").has_value());
 }
 
-// --- persist::Store durability classes ---
-
-TEST(PersistTest, VolatileStoreRoundTrips) {
-  persist::VolatileStore store;
-  EXPECT_EQ(store.durability(), persist::Durability::kVolatile);
-  EXPECT_TRUE(store.available());
-  store.Put("k", View("v"));
-  EXPECT_EQ(store.Get("k").value(), Bytes{'v'});
-  EXPECT_FALSE(store.Get("missing").has_value());
-  EXPECT_EQ(store.Increment(), 0u);  // Record-only store: the counter facet is inert.
-}
+// --- persist::Store surfaces: host records vs sealed blobs ---
 
 TEST(PersistTest, HostDurableStorePutIsDurableOnReturn) {
   DiskFixture f;
   persist::Store& store = f.disk.record_store();
-  EXPECT_EQ(store.durability(), persist::Durability::kHostDurable);
   store.Put("k", View("v"));
   EXPECT_EQ(f.disk.fsyncs(), 1u);  // The interface contract: Put syncs before returning.
   f.disk.ApplyCrashFate(storage::WalFate::kLostUnsynced);
@@ -235,10 +223,8 @@ TEST(PersistTest, HostDurableStorePutIsDurableOnReturn) {
 }
 
 struct TeeFixture {
-  explicit TeeFixture(CounterSpec counter = CounterSpec::None())
-      : sim(11), host(&sim, 0), suite(SignatureScheme::kFastHmac, 4, 99) {
+  TeeFixture() : sim(11), host(&sim, 0), suite(SignatureScheme::kFastHmac, 4, 99) {
     TeeConfig tee;
-    tee.counter = counter;
     platform = std::make_unique<NodePlatform>(&host, &suite, CostModel::Default(), tee, 7);
     enclave = std::make_unique<EnclaveRuntime>(platform.get());
   }
@@ -252,31 +238,13 @@ struct TeeFixture {
 TEST(PersistTest, SealedStoreIsTheRollbackProneSurface) {
   TeeFixture f;
   persist::Store& store = f.enclave->sealed_store();
-  EXPECT_EQ(store.durability(), persist::Durability::kTeeSealed);
   store.Put("k", View("v1"));
   store.Put("k", View("v2"));
   EXPECT_EQ(store.Get("k").value(), (Bytes{'v', '2'}));
-  // The adversarial OS replays the old blob — exactly what kHostDurable can never do.
+  // The adversarial OS replays the old blob — exactly what the host record store can
+  // never do.
   f.platform->storage().SetRollbackMode(RollbackMode::kOldest);
   EXPECT_EQ(store.Get("k").value(), (Bytes{'v', '1'}));
-}
-
-TEST(PersistTest, CounterStoreDrivesTheTrustedCounter) {
-  TeeFixture f(CounterSpec::Custom(Ms(20), Ms(5)));
-  persist::Store& store = f.enclave->counter_store();
-  EXPECT_EQ(store.durability(), persist::Durability::kTeeCounter);
-  ASSERT_TRUE(store.available());
-  EXPECT_EQ(store.Increment(), 1u);
-  EXPECT_EQ(store.Increment(), 2u);
-  EXPECT_EQ(store.Read(), 2u);
-  EXPECT_EQ(f.host.cpu_time_used(), Ms(45));  // Device latency is charged, as ever.
-  EXPECT_FALSE(store.Get("anything").has_value());  // Record facet is inert.
-}
-
-TEST(PersistTest, CounterStoreUnavailableWithoutADevice) {
-  TeeFixture f(CounterSpec::None());
-  EXPECT_FALSE(f.enclave->counter_store().available());
-  EXPECT_EQ(f.enclave->counter_store().Increment(), 0u);
 }
 
 // --- StorageFate encoding + protocol traits ---
