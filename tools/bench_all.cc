@@ -1,38 +1,32 @@
-// bench_all: runs every bench binary with --json-out and merges the per-bench reports
+// bench_all: runs every bench binary with --json-out and merges the per-bench headlines
 // into one BENCH_summary.json for CI artifacts and cross-commit comparison.
 //
-// Usage: bench_all [--smoke] [--scale=F] [--jobs=N] [--bin-dir=DIR] [--out=PATH]
-//                  [--only=SUBSTR] [--guard-baseline=PATH] [--defense=NAME]
+// Usage: bench_all [--smoke] [--jobs=N] [--bin-dir=DIR] [--out=PATH] [--defense=NAME]
 //
 //   --smoke        CI plumbing mode: exports ACHILLES_BENCH_SCALE=0.05 to the child
 //                  benches, which shrinks every measured window (src/harness/experiment.cc
 //                  applies the factor with floors). Numbers at smoke scale are for
 //                  checking that the pipeline works, not for quoting.
-//   --scale=F      Like --smoke with an explicit fraction in (0, 1).
 //   --jobs=N       Run up to N bench binaries concurrently. Each child's stdout/stderr is
 //                  buffered to BENCH_<name>.log and replayed in the fixed kBenches order
 //                  once everything finishes, and reports merge in that same order — the
-//                  summary is byte-comparable with a --jobs=1 run (modulo the wall-clock
-//                  metrics themselves). Concurrent children share the machine, so their
-//                  events-per-wall-second gauges dip; use --jobs=1 for quotable numbers.
+//                  summary is byte-identical to a --jobs=1 run apart from its "jobs" field.
 //   --bin-dir=DIR  Directory holding the bench_* binaries (default: auto-detected from
 //                  argv[0], assuming the CMake layout build/tools + build/bench).
 //   --out=PATH     Summary path (default BENCH_summary.json in the working directory).
-//   --only=SUBSTR  Run only benches whose name contains SUBSTR.
 //   --defense=NAME Forward --defense=NAME (local|rollbaccine|healer) to every child bench
 //                  except bench_defense (which sweeps all backends itself), so a whole
 //                  summary can be generated under one rollback-defense backend.
-//   --guard-baseline=PATH
-//                  Perf-regression guard: compares this run's fig4 peak
-//                  sim.events_per_wall_sec against the committed baseline summary at PATH
-//                  and fails (exit 1) when the current number drops below 80% of the
-//                  baseline. The ratio is scale-insensitive enough to run at smoke scale,
-//                  which is how CI wires it (see ci.yml bench-smoke).
 //
-// The summary embeds, per bench: exit code, headline stats of the best-throughput run
-// (TPS, commit p50/p99, e2e p99, latency breakdown), the simulator self-profiling gauges
-// of that run, and the full per-bench report re-serialized verbatim. Plus one block of
+// The summary embeds, per bench: exit code and headline stats of the best-throughput run
+// (TPS, commit p50/p99, e2e p99, latency breakdown, critical path, simulator event counts,
+// retention footprint). Across benches: the profiled run with the most commits
+// ("critpath") and the gauges tools/bench_trend tracks ("gauges"). Plus
 // run metadata: git commit/branch/dirty and the default CostModel the benches simulate.
+// Every field is virtual-time or config data, so two runs with the same flags on the same
+// tree write the same bytes; wall-clock speed is the repository benchmark's job
+// (perfbench/, gated by tools/perf_gate.py). Full per-bench reports stay in the
+// BENCH_<name>.json files next to the summary.
 #include <unistd.h>
 
 #include <algorithm>
@@ -40,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,8 +182,9 @@ void WriteGitMetadata(obs::JsonWriter& w) {
 }
 
 // Picks the run with the highest throughput and emits its headline stats, latency
-// breakdown, and the simulator self-profiling gauges recorded alongside it.
-void WriteHeadline(obs::JsonWriter& w, const obs::JsonValue& report) {
+// breakdown, and the simulator self-profiling gauges recorded alongside it. Returns that
+// run, or nullptr for a table-only bench.
+const obs::JsonValue* WriteHeadline(obs::JsonWriter& w, const obs::JsonValue& report) {
   const obs::JsonValue* runs = report.Get("runs");
   const size_t num_runs = (runs != nullptr && runs->is_array()) ? runs->array.size() : 0;
   w.Field("runs", static_cast<uint64_t>(num_runs));
@@ -206,9 +202,9 @@ void WriteHeadline(obs::JsonWriter& w, const obs::JsonValue& report) {
     }
   }
   if (best == nullptr) {
-    // Table-only bench (drives clusters manually); its results live in "report".
+    // Table-only bench (drives clusters manually); its results live in its own report.
     w.Key("peak").Null();
-    return;
+    return nullptr;
   }
   const obs::JsonValue* stats = best->Get("stats");
   w.KeyBeginObject("peak")
@@ -231,9 +227,11 @@ void WriteHeadline(obs::JsonWriter& w, const obs::JsonValue& report) {
   }
   const obs::JsonValue* metrics = best->Get("metrics");
   if (metrics != nullptr && metrics->is_object()) {
+    // Simulator event counts; the wall-clock sim.* gauges would make the summary differ
+    // between identical runs, so they stay in the per-bench report.
     w.KeyBeginObject("sim");
     for (const auto& [key, value] : metrics->object) {
-      if (key.rfind("sim.", 0) == 0) {
+      if (key.rfind("sim.", 0) == 0 && key.find("wall") == std::string::npos) {
         w.Key(key);
         WriteValue(w, value);
       }
@@ -251,80 +249,7 @@ void WriteHeadline(obs::JsonWriter& w, const obs::JsonValue& report) {
     w.EndObject();
   }
   w.EndObject();
-}
-
-// Extracts fig4's best sim.events_per_wall_sec from a merged summary, or -1 when absent
-// (bench skipped by --only, failed, or a pre-guard summary format). The MAX over the
-// bench's runs is the guard metric: it is the sweep point where the simulator itself is
-// the bottleneck, and it is reproducible to well under 1% on an idle machine — unlike
-// the best-TPS run's gauge, which lands on a crypto-bound config and swings tens of
-// percent run to run.
-double Fig4EventsPerWallSec(const obs::JsonValue& summary) {
-  const obs::JsonValue* benches = summary.Get("benches");
-  if (benches == nullptr || !benches->is_array()) {
-    return -1.0;
-  }
-  for (const obs::JsonValue& bench : benches->array) {
-    const obs::JsonValue* binary = bench.Get("binary");
-    if (binary == nullptr || !binary->is_string() ||
-        binary->string != "bench_fig4_saturation") {
-      continue;
-    }
-    const obs::JsonValue* report = bench.Get("report");
-    const obs::JsonValue* runs = report != nullptr ? report->Get("runs") : nullptr;
-    if (runs == nullptr || !runs->is_array()) {
-      return -1.0;
-    }
-    double best = -1.0;
-    for (const obs::JsonValue& run : runs->array) {
-      const obs::JsonValue* metrics = run.Get("metrics");
-      if (metrics != nullptr) {
-        best = std::max(best, NumberOr(metrics->Get("sim.events_per_wall_sec"), -1.0));
-      }
-    }
-    return best;
-  }
-  return -1.0;
-}
-
-// The perf-regression guard behind --guard-baseline. Compares the freshly-merged summary
-// against the committed baseline and fails on a >20% events-per-wall-second drop.
-// Returns 0 on pass, 1 on regression or unusable inputs (a silently-skipped guard would
-// defeat its purpose, so a baseline that no longer parses is also a failure).
-int RunGuard(const std::string& baseline_path, const obs::JsonValue& current) {
-  const std::optional<obs::JsonValue> baseline = obs::ParseJson(ReadFile(baseline_path));
-  if (!baseline.has_value() || !baseline->is_object()) {
-    std::fprintf(stderr, "bench_all: guard baseline %s missing or unparseable\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  const double base = Fig4EventsPerWallSec(*baseline);
-  const double now = Fig4EventsPerWallSec(current);
-  if (base <= 0.0) {
-    std::fprintf(stderr, "bench_all: guard baseline %s has no fig4 events/wall-sec\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  if (now <= 0.0) {
-    std::fprintf(stderr,
-                 "bench_all: guard: current run has no fig4 events/wall-sec (did --only "
-                 "exclude bench_fig4_saturation?)\n");
-    return 1;
-  }
-  const double ratio = now / base;
-  std::printf("bench_all: perf guard: fig4 events/wall-sec %.0f vs baseline %.0f (%.2fx)\n",
-              now, base, ratio);
-  if (ratio < 0.8) {
-    std::fprintf(stderr,
-                 "bench_all: PERF REGRESSION: fig4 sim.events_per_wall_sec dropped to "
-                 "%.0f%% of the committed baseline (threshold 80%%).\n"
-                 "If the slowdown is intentional, regenerate the baseline:\n"
-                 "  build/tools/bench_all --smoke --only=fig4_saturation "
-                 "--out=BENCH_summary.json\n",
-                 ratio * 100.0);
-    return 1;
-  }
-  return 0;
+  return best;
 }
 
 // One bench child scheduled by the --jobs pool.
@@ -409,20 +334,14 @@ int Main(int argc, char** argv) {
     return 2;
   }
   bool smoke = false;
-  double scale = 0.0;
+  const double scale = 0.05;
   int jobs = 1;
   std::string bin_dir;
   std::string out_path = "BENCH_summary.json";
-  std::string only;
-  std::string guard_baseline;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-      scale = 0.05;
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      smoke = true;
-      scale = std::atof(arg.c_str() + 8);
     } else if (arg.rfind("--jobs=", 0) == 0) {
       jobs = std::atoi(arg.c_str() + 7);
       if (jobs < 1) {
@@ -433,14 +352,9 @@ int Main(int argc, char** argv) {
       bin_dir = arg.substr(10);
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
-    } else if (arg.rfind("--only=", 0) == 0) {
-      only = arg.substr(7);
-    } else if (arg.rfind("--guard-baseline=", 0) == 0) {
-      guard_baseline = arg.substr(17);
     } else {
       std::fprintf(stderr,
-                   "usage: bench_all [--smoke] [--scale=F] [--jobs=N] [--bin-dir=DIR] "
-                   "[--out=PATH] [--only=SUBSTR] [--guard-baseline=PATH] "
+                   "usage: bench_all [--smoke] [--jobs=N] [--bin-dir=DIR] [--out=PATH] "
                    "[--defense=NAME]\n");
       return 2;
     }
@@ -453,13 +367,10 @@ int Main(int argc, char** argv) {
   }
   const std::string argv0_dir = Dirname(argv[0]);
 
-  // Build the filtered task list up front: execution (possibly out of order across a
+  // Build the task list up front: execution (possibly out of order across a
   // thread pool) is separated from merging, which always walks tasks in kBenches order.
   std::vector<BenchTask> tasks;
   for (const char* name : kBenches) {
-    if (!only.empty() && std::strstr(name, only.c_str()) == nullptr) {
-      continue;
-    }
     BenchTask task;
     task.name = name;
     // BenchIo would default to BENCH_<name-without-prefix>.json; pass the path explicitly
@@ -509,6 +420,17 @@ int Main(int argc, char** argv) {
   std::optional<obs::JsonValue> critpath_headline;
   std::string critpath_headline_bench;
   double critpath_headline_commits = -1.0;
+  // Cross-bench gauges bench_trend tracks, all virtual-time deterministic and lower-is-
+  // better: fig4's peak-run commit p50, the worst per-node retained log bytes of any
+  // bench's peak run, and the worst steady-state throughput tax a quorum rollback-defense
+  // backend charged over the same-protocol local baseline (bench_defense's per-run
+  // defense.tax_pct; a defended run can beat its baseline, as the quorum wait replaces the
+  // counter device, so the gauge clamps at 0).
+  std::map<std::string, double> gauges;
+  auto raise = [&gauges](const char* name, double value) {
+    const auto [it, fresh] = gauges.emplace(name, value);
+    it->second = std::max(it->second, value);
+  };
   for (const BenchTask& task : tasks) {
     w.BeginObject().Field("binary", task.name).Field("json_path", task.json_path);
     if (task.binary.empty()) {
@@ -539,10 +461,27 @@ int Main(int argc, char** argv) {
         w.Field("bench", bench_name->string);
       }
     }
-    WriteHeadline(w, *report);
+    if (const obs::JsonValue* peak = WriteHeadline(w, *report)) {
+      if (std::strcmp(task.name, "bench_fig4_saturation") == 0) {
+        raise("fig4.commit_p50_ms", NumberOr(peak->Get("stats")->Get("commit_p50_ms"), 0.0));
+      }
+      if (const obs::JsonValue* metrics = peak->Get("metrics")) {
+        for (const auto& [key, value] : metrics->object) {
+          if (key.rfind("log.bytes_retained", 0) == 0 && value.is_number()) {
+            raise("log.bytes_retained_max", value.number);
+          }
+        }
+      }
+    }
     const obs::JsonValue* runs = report->Get("runs");
     if (runs != nullptr && runs->is_array()) {
       for (const obs::JsonValue& run : runs->array) {
+        if (const obs::JsonValue* metrics = run.Get("metrics")) {
+          const obs::JsonValue* tax = metrics->Get("defense.tax_pct");
+          if (tax != nullptr && tax->is_number()) {
+            raise("defense.tax_pct_max", std::max(0.0, tax->number));
+          }
+        }
         const obs::JsonValue* stats = run.Get("stats");
         const obs::JsonValue* critpath = stats != nullptr ? stats->Get("critpath") : nullptr;
         if (critpath == nullptr) {
@@ -557,8 +496,6 @@ int Main(int argc, char** argv) {
         }
       }
     }
-    w.Key("report");
-    WriteValue(w, *report);
     w.EndObject();
   }
   w.EndArray();
@@ -568,6 +505,11 @@ int Main(int argc, char** argv) {
     WriteValue(w, *critpath_headline);
     w.EndObject();
   }
+  w.KeyBeginObject("gauges");
+  for (const auto& [name, value] : gauges) {
+    w.Field(name, value);
+  }
+  w.EndObject();
   w.Field("benches_run", static_cast<int64_t>(ran))
       .Field("benches_failed", static_cast<int64_t>(failures))
       .EndObject();
@@ -582,13 +524,6 @@ int Main(int argc, char** argv) {
   std::fclose(f);
   std::printf("bench_all: wrote %s (%d bench(es), %d failure(s))\n", out_path.c_str(), ran,
               failures);
-
-  if (!guard_baseline.empty()) {
-    const std::optional<obs::JsonValue> current = obs::ParseJson(w.str());
-    if (!current.has_value() || RunGuard(guard_baseline, *current) != 0) {
-      return 1;
-    }
-  }
   return failures == 0 ? 0 : 1;
 }
 

@@ -44,10 +44,13 @@
 // one per chaos shard).
 //
 // Exit status: honest sweeps fail (1) on any oracle violation; --broken sweeps invert —
-// they fail unless a violation IS found (the planted bug must be caught).
+// they fail unless a violation IS found (the planted bug must be caught). --out-dir is
+// created up front; exit 2 means a usage error, an --out-dir that cannot be created, or an
+// artifact or --coverage-out file that could not be written.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -204,40 +207,42 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
   return true;
 }
 
-bool WriteFile(const std::string& path, const std::string& content) {
+// Set by any failed artifact write; Main turns an otherwise clean exit into status 2.
+bool write_failed = false;
+
+// Writes one artifact and names it on stdout as `label` only once it is on disk.
+void WriteFile(const char* label, const std::string& path, const std::string& content,
+               const std::string& note = "") {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << content;
+  out.close();
   if (!out) {
     std::fprintf(stderr, "chaos_main: cannot write %s\n", path.c_str());
-    return false;
+    write_failed = true;
+    return;
   }
-  out << content;
-  return static_cast<bool>(out);
+  std::printf("%s: %s%s\n", label, path.c_str(), note.c_str());
 }
 
 void DumpFailure(const CliArgs& args, const ChaosResult& result) {
   const std::string stem =
       args.out_dir + "/chaos_seed_" + std::to_string(result.seed);
-  WriteFile(stem + ".script.txt", result.Artifact().ToText());
-  WriteFile(stem + ".log.txt", result.LogText());
-  std::printf("  artifacts: %s.script.txt, %s.log.txt\n", stem.c_str(), stem.c_str());
+  WriteFile("  script", stem + ".script.txt", result.Artifact().ToText());
+  WriteFile("  log", stem + ".log.txt", result.LogText());
   if (!result.journal_text.empty()) {
-    WriteFile(stem + ".journal.txt", result.journal_text);
-    std::printf("  journal: %s.journal.txt (digest %s)\n", stem.c_str(),
-                result.journal_digest_hex.c_str());
+    WriteFile("  journal", stem + ".journal.txt", result.journal_text,
+              " (digest " + result.journal_digest_hex + ")");
   }
   if (!result.incident_report.empty()) {
-    WriteFile(stem + ".incident.txt", result.incident_report);
-    std::printf("  incident report: %s.incident.txt\n", stem.c_str());
+    WriteFile("  incident report", stem + ".incident.txt", result.incident_report);
   }
   if (!result.history_text.empty()) {
-    WriteFile(stem + ".history.txt", result.history_text);
-    std::printf("  kv history: %s.history.txt (digest %s)\n", stem.c_str(),
-                result.history_digest_hex.c_str());
+    WriteFile("  kv history", stem + ".history.txt", result.history_text,
+              " (digest " + result.history_digest_hex + ")");
   }
   if (!result.journal_trace_json.empty()) {
-    WriteFile(stem + ".journal.trace.json", result.journal_trace_json);
-    std::printf("  journal trace: %s.journal.trace.json (open in Perfetto)\n",
-                stem.c_str());
+    WriteFile("  journal trace", stem + ".journal.trace.json", result.journal_trace_json,
+              " (open in Perfetto)");
   }
 }
 
@@ -264,9 +269,8 @@ void MinimizeAndDump(const CliArgs& args, const ChaosResult& failure) {
   artifact.script = minimized.script;
   const std::string path = args.out_dir + "/chaos_seed_" +
                            std::to_string(failure.seed) + ".min.script.txt";
-  WriteFile(path, artifact.ToText());
-  std::printf("  minimized violation: %s\n  minimized artifact: %s\n",
-              minimized.violation.c_str(), path.c_str());
+  std::printf("  minimized violation: %s\n", minimized.violation.c_str());
+  WriteFile("  minimized artifact", path, artifact.ToText());
 }
 
 void PrintResult(const ChaosResult& result, bool with_log) {
@@ -478,8 +482,8 @@ std::string CoverageJson(const CliArgs& args, const CoverageReport& cov) {
 
 int FinishSweep(const CliArgs& args, const CoverageReport& cov, int code) {
   PrintCoverage(cov);
-  if (!args.coverage_out.empty() && WriteFile(args.coverage_out, CoverageJson(args, cov))) {
-    std::printf("coverage artifact: %s\n", args.coverage_out.c_str());
+  if (!args.coverage_out.empty()) {
+    WriteFile("coverage artifact", args.coverage_out, CoverageJson(args, cov));
   }
   return code;
 }
@@ -550,16 +554,24 @@ int Main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &args)) {
     return 2;
   }
+  std::error_code ec;
+  std::filesystem::create_directories(args.out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "chaos_main: cannot create --out-dir %s: %s\n",
+                 args.out_dir.c_str(), ec.message().c_str());
+    return 2;
+  }
+  int code;
   if (!args.replay_file.empty()) {
-    return ReplayFile(args);
+    code = ReplayFile(args);
+  } else if (args.replay_seed >= 0) {
+    code = ReplaySeed(args, static_cast<uint64_t>(args.replay_seed));
+  } else if (args.minimize_seed >= 0) {
+    code = MinimizeSeed(args, static_cast<uint64_t>(args.minimize_seed));
+  } else {
+    code = Sweep(args);
   }
-  if (args.replay_seed >= 0) {
-    return ReplaySeed(args, static_cast<uint64_t>(args.replay_seed));
-  }
-  if (args.minimize_seed >= 0) {
-    return MinimizeSeed(args, static_cast<uint64_t>(args.minimize_seed));
-  }
-  return Sweep(args);
+  return code == 0 && write_failed ? 2 : code;
 }
 
 }  // namespace
