@@ -428,8 +428,8 @@ int Main(int argc, char** argv) {
   // counter device, so the gauge clamps at 0).
   std::map<std::string, double> gauges;
   auto raise = [&gauges](const char* name, double value) {
-    const auto [it, fresh] = gauges.emplace(name, value);
-    it->second = std::max(it->second, value);
+    double& slot = gauges.emplace(name, value).first->second;
+    slot = std::max(slot, value);
   };
   for (const BenchTask& task : tasks) {
     w.BeginObject().Field("binary", task.name).Field("json_path", task.json_path);
