@@ -133,9 +133,9 @@ int Trend(const std::vector<std::string>& paths) {
   return 0;
 }
 
-// The guard's tolerance: a gauge fails past kSlack x its baseline. Smoke-scale and
-// full-scale summaries read differently, so the bound is wide; it is a tripwire for a
-// structural change (a gauge doubling or vanishing), not a fine-grained perf gate.
+// The guard's tolerance: a gauge fails past kSlack x its baseline. Summaries at other
+// scales read differently, so the bound is wide; it is a tripwire for a structural change
+// (a gauge doubling or vanishing), not a fine-grained perf gate.
 constexpr double kSlack = 2.0;
 
 int Guard(const std::string& baseline_path, const std::string& current_path) {

@@ -95,7 +95,7 @@ def load_baseline(path):
 
 
 def gate(stats, base):
-    failures = 0
+    failures = []
     for w, metrics in stats.items():
         for m in METRICS:
             now, ref = metrics[m["name"]], base["workloads"][w][m["name"]]["median"]
@@ -105,9 +105,10 @@ def gate(stats, base):
                   "%.6g: %.2fx, bound %.2f %s" % (w, m["name"], now["median"], now["q1"],
                   now["q3"], now["runs"], ref, ratio, m["bound"], "FAIL" if worse else "ok"),
                   file=sys.stderr)
-            failures += worse
+            if worse:
+                failures.append("%s %s" % (w, m["name"]))
     if failures:
-        fail("%d median(s) regressed past their bound" % failures)
+        fail("median regressed past its bound: " + ", ".join(failures))
 
 
 def write(stats, path):
