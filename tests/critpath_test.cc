@@ -7,6 +7,7 @@
 #include <string>
 
 #include "src/harness/cluster.h"
+#include "src/harness/fault_script.h"
 #include "src/obs/breakdown.h"
 #include "src/obs/critpath.h"
 #include "src/obs/json.h"
@@ -287,6 +288,59 @@ TEST(CritPathClusterTest, DigestStableAcrossReplay) {
     EXPECT_EQ(digests[i].size(), 64u);
   }
   EXPECT_EQ(digests[0], digests[1]);
+}
+
+// --- Golden critical-path digests ---------------------------------------------------------
+
+// Fixed runs whose critical-path digests are pinned, so a change to the recording hooks
+// cannot move the recorded chains unnoticed (replay stability alone would not catch it).
+// A deliberate change replaces the digest and says why in CHANGES.md.
+struct CritGoldenRow {
+  const char* name;
+  const char* digest;
+};
+
+std::string GoldenCritDigest(const std::string& name) {
+  ClusterConfig config = CritConfig(Protocol::kAchilles, 17);
+  FaultScript script;
+  if (name == "saturation") {
+    // Fig. 4 shape in miniature: saturating client, full batches.
+    config.f = 2;
+    config.batch_size = 400;
+    config.payload_size = 256;
+  } else if (name == "kv-ckpt") {
+    config.f = 2;
+    config.batch_size = 100;
+    config.base_timeout = Ms(100);
+    config.client_rate_tps = 1000.0;
+    config.app_kv = true;
+    config.kv_client.num_sessions = 4;
+    config.ckpt.enabled = true;
+    config.ckpt.interval = 8;
+  } else if (name == "crash-reboot") {
+    // A backup crashes mid-window and reboots (honest storage): exercises OnHostCrash.
+    config.base_timeout = Ms(100);
+    script.events.push_back(FaultEvent{Ms(400), FaultKind::kCrash, 1, 0, 0});
+    script.events.push_back(FaultEvent{Ms(500), FaultKind::kReboot, 1, 0, 0});
+  }
+  Cluster cluster(config);
+  cluster.InstallFaultScript(script);
+  const RunStats stats = cluster.RunMeasured(Ms(200), Ms(800));
+  EXPECT_TRUE(stats.safety_ok) << name;
+  EXPECT_GT(stats.critpath.commits, 0u) << name;
+  return stats.critpath.digest_hex;
+}
+
+TEST(CritPathClusterTest, GoldenDigestsMatchTheCommittedRows) {
+  const CritGoldenRow rows[] = {
+      {"saturation", "943553bac52cf3aec5c166dcfed1f12d12cc9800a375a24228574b882d850b6a"},
+      {"kv-ckpt", "823b8c1b99a0c719d0731ccb6e5c03e56568c9b426e78701ff4fa020b82dd532"},
+      {"crash-reboot", "d3979a9726ec9f3f23133bdd0c33b8ebfc1666a4f87b32bfebf3bcf1c459981d"},
+  };
+  for (const CritGoldenRow& row : rows) {
+    const std::string digest = GoldenCritDigest(row.name);
+    EXPECT_EQ(digest, row.digest) << "row {\"" << row.name << "\", \"" << digest << "\"}";
+  }
 }
 
 TEST(CritPathClusterTest, TruncationGaugesAlwaysExported) {
