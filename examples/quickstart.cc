@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   // 4. Optionally export the span trace — open it in https://ui.perfetto.dev.
   if (!trace_path.empty()) {
-    if (cluster.tracer().WriteChromeTrace(trace_path)) {
+    if (cluster.recorder().tracer()->WriteChromeTrace(trace_path)) {
       std::printf("  trace written to %s (load it in Perfetto)\n", trace_path.c_str());
     } else {
       std::printf("  FAILED to write trace to %s\n", trace_path.c_str());

@@ -512,14 +512,15 @@ ChaosResult RunChaosScript(const ChaosOptions& options, uint64_t seed, Protocol 
     result.event_log.push_back("VIOLATION " + result.violation);
   }
   if (options.journal) {
-    obs::Journal& journal = cluster.journal();
+    obs::Recorder& recorder = cluster.recorder();
+    const obs::Journal& journal = *recorder.journal();
     if (!result.ok) {
       const Incident& incident = oracles.incident();
       // Stamp the verdict into the journal so the dump itself records why the run failed,
       // then run the forensics analyzer over it.
-      journal.Record(incident.node == kNoNode ? 0 : incident.node,
-                     obs::JournalKind::kOracleViolation, incident.at, /*parent=*/0,
-                     incident.height, 0, result.violation);
+      recorder.Event(incident.node == kNoNode ? 0 : incident.node,
+                     obs::JournalKind::kOracleViolation, incident.at, {}, incident.height, 0,
+                     result.violation);
       obs::IncidentQuery query;
       query.oracle = incident.oracle;
       query.description = result.violation;
@@ -530,11 +531,8 @@ ChaosResult RunChaosScript(const ChaosOptions& options, uint64_t seed, Protocol 
       query.seed = seed;
       query.exclude.assign(oracles.byzantine().begin(), oracles.byzantine().end());
       result.incident_report = obs::AnalyzeIncident(journal, query).text;
-      // Perfetto view of the incident: the journal's control events as instants.
-      obs::SpanTracer annotated;
-      annotated.set_enabled(true);
-      journal.AnnotateTracer(&annotated);
-      result.journal_trace_json = annotated.ExportChromeTrace();
+      // Perfetto view of the incident: the journal's control records as trace instants.
+      result.journal_trace_json = recorder.JournalTraceJson();
     }
     result.journal_text = journal.ToText();
     result.journal_digest_hex = journal.DigestHex();

@@ -82,9 +82,8 @@ void CommitTracker::OnClientConfirm(const BlockPtr& block, SimTime now,
   if (breakdown_ != nullptr && path != nullptr) {
     breakdown_->OnConfirm(*path, now, submit_sum, block->txs.size());
   }
-  if (critpath_ != nullptr && critpath_->enabled() && path != nullptr) {
-    critpath_->OnConfirm(path->activity, path->origin, block->height, now, submit_sum,
-                         block->txs.size());
+  if (recorder_ != nullptr && path != nullptr) {
+    recorder_->Confirm(*path, block->height, now, submit_sum, block->txs.size());
   }
 }
 
@@ -98,8 +97,8 @@ void CommitTracker::StartMeasurement(SimTime now) {
   if (breakdown_ != nullptr) {
     breakdown_->Reset();
   }
-  if (critpath_ != nullptr) {
-    critpath_->ResetWindow();
+  if (recorder_ != nullptr) {
+    recorder_->ResetWindow();
   }
 }
 

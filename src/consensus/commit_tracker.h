@@ -13,7 +13,7 @@
 #include "src/consensus/block.h"
 #include "src/consensus/metrics.h"
 #include "src/obs/breakdown.h"
-#include "src/obs/critpath.h"
+#include "src/obs/recorder.h"
 
 namespace achilles {
 
@@ -54,9 +54,10 @@ class CommitTracker {
   // Attribution sink for confirmed-block latency decomposition; measurement-window gating
   // happens here so attribution and the e2e recorder always agree.
   void SetBreakdown(obs::BreakdownAttributor* breakdown) { breakdown_ = breakdown; }
-  // Critical-path sink: confirmed chains freeze their DAG frontier here, with the same
-  // window gating and per-tx weighting as the breakdown attributor.
-  void SetCritPath(obs::CritPathCollector* critpath) { critpath_ = critpath; }
+  // Record stream (src/obs/recorder.h; null when every sink is off): confirmed chains
+  // are recorded with the same window gating and per-tx weighting as the breakdown
+  // attributor, and StartMeasurement opens the recorder's window.
+  void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
   // --- Called by replicas / clients ---
   void OnPropose(const BlockPtr& block);
@@ -109,7 +110,7 @@ class CommitTracker {
   std::vector<CommitListener> listeners_;
   std::vector<ProposeListener> propose_listeners_;
   obs::BreakdownAttributor* breakdown_ = nullptr;
-  obs::CritPathCollector* critpath_ = nullptr;
+  obs::Recorder* recorder_ = nullptr;
 
   SimTime window_start_ = 0;
   SimTime window_end_ = -1;

@@ -92,20 +92,12 @@ void ReplicaBase::ChargeSignPlain() {
 void ReplicaBase::MarkProposed(const BlockPtr& block) {
   tracker().OnPropose(id(), block);
   host().RestartPathAt(block->propose_time);
-  TraceInstant("propose", block->height);
   JournalEvent(obs::JournalKind::kPropose, block->height, block->view);
 }
 
-void ReplicaBase::TraceInstant(const char* name, uint64_t arg) {
-  obs::SpanTracer* tracer = host().tracer();
-  if (tracer != nullptr && tracer->enabled()) {
-    tracer->Instant(name, host().id(), LocalNow(), host().current_span(), arg);
-  }
-}
-
-uint64_t ReplicaBase::JournalEvent(obs::JournalKind kind, uint64_t a, uint64_t b,
-                                   std::string detail) {
-  return host().JournalEvent(kind, a, b, std::move(detail));
+void ReplicaBase::JournalEvent(obs::JournalKind kind, uint64_t a, uint64_t b,
+                               std::string_view detail) {
+  host().JournalEvent(kind, a, b, detail);
 }
 
 uint64_t ReplicaBase::JournalHash(const Hash256& hash) {
@@ -126,16 +118,14 @@ uint64_t CritKey(NodeId node, uint32_t tag, uint64_t instance) {
 }  // namespace
 
 void ReplicaBase::CritNote(uint32_t tag, uint64_t instance) {
-  obs::CritPathCollector* cp = host().critpath();
-  if (cp != nullptr && cp->enabled()) {
-    cp->NoteInput(CritKey(id(), tag, instance), host().current_activity(), LocalNow());
+  if (obs::Recorder* recorder = host().recorder()) {
+    recorder->QuorumNote(CritKey(id(), tag, instance), host().cause(), LocalNow());
   }
 }
 
 void ReplicaBase::CritJoin(uint32_t tag, uint64_t instance) {
-  obs::CritPathCollector* cp = host().critpath();
-  if (cp != nullptr && cp->enabled()) {
-    cp->JoinInputs(CritKey(id(), tag, instance), host().current_activity(), LocalNow());
+  if (obs::Recorder* recorder = host().recorder()) {
+    recorder->QuorumJoin(CritKey(id(), tag, instance), host().cause(), LocalNow());
   }
 }
 
@@ -164,7 +154,6 @@ bool ReplicaBase::CommitChain(const BlockPtr& block, size_t cert_wire_size) {
     last_committed_height_ = b->height;
     last_committed_hash_ = b->hash;
     tracker().OnCommit(id(), b, LocalNow());
-    TraceInstant("commit", b->height);
     JournalEvent(obs::JournalKind::kCommit, b->height, JournalHash(b->hash));
     if (client_replies_enabled_) {
       for (uint32_t client : ctx_.client_ids) {
@@ -192,7 +181,6 @@ void ReplicaBase::AdoptCheckpoint(const BlockPtr& block, size_t cert_wire_size) 
   last_committed_height_ = block->height;
   last_committed_hash_ = block->hash;
   tracker().OnCommit(id(), block, LocalNow());
-  TraceInstant("adopt_checkpoint", block->height);
   JournalEvent(obs::JournalKind::kCheckpoint, block->height, JournalHash(block->hash));
   if (client_replies_enabled_) {
     for (uint32_t client : ctx_.client_ids) {

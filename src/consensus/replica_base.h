@@ -5,6 +5,7 @@
 #define SRC_CONSENSUS_REPLICA_BASE_H_
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/checkpoint/checkpoint.h"
@@ -185,17 +186,15 @@ class ReplicaBase : public IProcess {
   // chain that flows out of the proposal (src/obs/breakdown.h). Protocols call this once
   // per block they create, right after Block::Create.
   void MarkProposed(const BlockPtr& block);
-  // Emits a trace instant on this replica's track (no virtual-time cost).
-  void TraceInstant(const char* name, uint64_t arg = 0);
-  // Records a flight-recorder event on this replica's host track (src/obs/journal.h),
-  // parented to the running handler's causal context. Zero virtual-time cost; returns the
-  // journal seq (0 when journaling is off). Protocols call this at every state transition
-  // (view/epoch/term change, leader change, lock update, recovery phase).
-  uint64_t JournalEvent(obs::JournalKind kind, uint64_t a = 0, uint64_t b = 0,
-                        std::string detail = {});
+  // Records a journal-kind event on this replica's host track (Host::JournalEvent): the
+  // flight recorder keeps it and the span trace shows control kinds as instants. Zero
+  // virtual-time cost. Protocols call this at every state transition (view/epoch/term
+  // change, leader change, lock update, recovery phase).
+  void JournalEvent(obs::JournalKind kind, uint64_t a = 0, uint64_t b = 0,
+                    std::string_view detail = {});
   // Compact block identity for journal payloads: the hash's first 8 bytes, big-endian.
   static uint64_t JournalHash(const Hash256& hash);
-  // Critical-path quorum bookkeeping (src/obs/critpath.h). CritNote marks the running
+  // Critical-path quorum bookkeeping (src/obs/critpath.h via the host's recorder). CritNote marks the running
   // handler as carrying one input of quorum instance (`tag`, `instance`) — call it right
   // after adding a vote to a quorum set. CritJoin attaches every noted input to the
   // running handler — call it where the quorum check passes, so the what-if engine knows

@@ -120,19 +120,20 @@ void BenchReport::RecordTable(const std::vector<std::string>& headers,
 
 void BenchReport::RecordRun(const ClusterConfig& config, const RunStats& stats,
                             Cluster& cluster) {
-  if (trace_wanted() && cluster.tracer().enabled()) {
-    if (cluster.tracer().WriteChromeTrace(trace_path_)) {
+  const obs::SpanTracer* tracer = cluster.recorder().tracer();
+  if (trace_wanted() && tracer != nullptr) {
+    if (tracer->WriteChromeTrace(trace_path_)) {
       std::fprintf(stderr, "trace written to %s\n", trace_path_.c_str());
     } else {
       std::fprintf(stderr, "WARNING: failed to write trace to %s\n", trace_path_.c_str());
     }
     trace_written_ = true;  // One trace per process either way; don't retrace every run.
   }
-  if (critpath_wanted() && !critpath_written_ && cluster.critpath().enabled()) {
-    const obs::CritPathCollector& cp = cluster.critpath();
-    bool ok = WriteFile(critpath_path_, cp.ProfileJson());
-    ok = WriteFile(critpath_path_ + ".folded", cp.FoldedStacks()) && ok;
-    ok = WriteFile(critpath_path_ + ".perfetto.json", cp.PerfettoJson(16)) && ok;
+  const obs::CritPathCollector* cp = cluster.recorder().critpath();
+  if (critpath_wanted() && !critpath_written_ && cp != nullptr) {
+    bool ok = WriteFile(critpath_path_, cp->ProfileJson());
+    ok = WriteFile(critpath_path_ + ".folded", cp->FoldedStacks()) && ok;
+    ok = WriteFile(critpath_path_ + ".perfetto.json", cp->PerfettoJson(16)) && ok;
     if (ok) {
       std::fprintf(stderr, "critpath profile written to %s (+.folded, +.perfetto.json)\n",
                    critpath_path_.c_str());

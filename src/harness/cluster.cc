@@ -85,8 +85,7 @@ bool ProtocolUsesDefenseBackend(Protocol protocol) {
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
       n_(ReplicasFor(config.protocol, config.f)),
-      tracer_(config.trace_capacity),
-      journal_(config.journal_control_capacity, config.journal_flow_capacity),
+      recorder_(config.tracing, config.trace_capacity, config.journaling, config.critpath),
       sim_(config.seed),
       net_(&sim_, config.net),
       suite_(config.scheme, n_, config.seed ^ 0x5eedc0deULL),
@@ -103,12 +102,10 @@ Cluster::Cluster(const ClusterConfig& config)
   tee.counter = DefaultCounterEnabled(config_.protocol) && !defended ? config_.counter
                                                                      : CounterSpec::None();
 
-  tracer_.set_enabled(config_.tracing);
-  journal_.set_enabled(config_.journaling);
-  critpath_.set_enabled(config_.critpath);
+  // Hooks only see a recorder with a sink on; unobserved runs skip recording entirely.
+  obs::Recorder* recorder = recorder_.active() ? &recorder_ : nullptr;
   tracker_.SetBreakdown(&breakdown_);
-  tracker_.SetCritPath(&critpath_);
-  net_.set_critpath(&critpath_);
+  tracker_.set_recorder(recorder);
   net_.AttachMetrics(&metrics_);
 
   if (defended) {
@@ -170,9 +167,7 @@ Cluster::Cluster(const ClusterConfig& config)
     });
   }
   for (auto& host : hosts_) {
-    host->set_tracer(&tracer_);
-    host->set_journal(&journal_);
-    host->set_critpath(&critpath_);
+    host->set_recorder(recorder);
     host->AttachMetrics(&metrics_);
   }
 }
@@ -344,9 +339,14 @@ RunStats Cluster::RunMeasured(SimDuration warmup, SimDuration measure) {
 
   // Observability truncation gauges: how much the span ring and flight recorder dropped.
   // Always exported so trend guards can watch them even on runs with tracing off.
-  metrics_.GetGauge("trace.dropped_spans")->Set(static_cast<double>(tracer_.dropped()));
-  metrics_.GetGauge("journal.events_recorded")->Set(static_cast<double>(journal_.recorded()));
-  metrics_.GetGauge("journal.events_evicted")->Set(static_cast<double>(journal_.evicted()));
+  const obs::SpanTracer* tracer = recorder_.tracer();
+  const obs::Journal* journal = recorder_.journal();
+  metrics_.GetGauge("trace.dropped_spans")
+      ->Set(tracer != nullptr ? static_cast<double>(tracer->dropped()) : 0.0);
+  metrics_.GetGauge("journal.events_recorded")
+      ->Set(journal != nullptr ? static_cast<double>(journal->recorded()) : 0.0);
+  metrics_.GetGauge("journal.events_evicted")
+      ->Set(journal != nullptr ? static_cast<double>(journal->evicted()) : 0.0);
 
   RunStats stats;
   stats.throughput_tps = tracker_.ThroughputTps();
@@ -363,14 +363,14 @@ RunStats Cluster::RunMeasured(SimDuration warmup, SimDuration measure) {
   stats.counter_writes = TotalCounterWrites() - counter_before;
   stats.safety_ok = !tracker_.safety_violated();
   stats.breakdown = breakdown_.MeanPerTx();
-  if (critpath_.enabled()) {
-    stats.critpath = critpath_.Summarize();
+  if (const obs::CritPathCollector* critpath = recorder_.critpath()) {
+    stats.critpath = critpath->Summarize();
     metrics_.GetGauge("critpath.activities")
-        ->Set(static_cast<double>(critpath_.activities()));
+        ->Set(static_cast<double>(critpath->activities()));
     metrics_.GetGauge("critpath.dropped_activities")
-        ->Set(static_cast<double>(critpath_.dropped_activities()));
+        ->Set(static_cast<double>(critpath->dropped_activities()));
     metrics_.GetGauge("critpath.dropped_segments")
-        ->Set(static_cast<double>(critpath_.dropped_segments()));
+        ->Set(static_cast<double>(critpath->dropped_segments()));
   }
   return stats;
 }

@@ -17,8 +17,8 @@
 #include "src/consensus/replica_base.h"
 #include "src/harness/byzantine.h"
 #include "src/obs/breakdown.h"
-#include "src/obs/journal.h"
 #include "src/obs/metrics.h"
+#include "src/obs/recorder.h"
 #include "src/obs/trace.h"
 #include "src/storage/defense.h"
 
@@ -79,20 +79,18 @@ struct ClusterConfig {
   double client_rate_tps = 0.0;     // 0 = saturating client.
   size_t client_max_outstanding = 0;  // 0 = 10 * batch_size.
   TeeConfig tee;                    // Boot costs; counter/in-TEE flags derived per protocol.
-  // Span tracing (src/obs/trace.h). Off by default; recording is memory-only and never
-  // perturbs virtual time, so RunStats are bit-identical either way. The ring keeps the
-  // last `trace_capacity` events (smaller rings keep exported traces small).
+  // The obs::Recorder's sinks (src/obs/recorder.h), all off by default; a sink that is
+  // off is never built. Recording is memory-only and never perturbs virtual time, so
+  // RunStats and the event-log, journal and replay digests are bit-identical with any
+  // combination on.
+  // Span tracing (src/obs/trace.h). The ring keeps the last `trace_capacity` events
+  // (smaller rings keep exported traces small).
   bool tracing = false;
   size_t trace_capacity = obs::SpanTracer::kDefaultCapacity;
-  // Critical-path profiling (src/obs/critpath.h). Off by default; like tracing and
-  // journaling, collection is memory-only and never perturbs virtual time, so event-log,
-  // journal and replay digests stay bit-identical either way.
+  // Critical-path profiling (src/obs/critpath.h).
   bool critpath = false;
-  // Flight recorder (src/obs/journal.h). Off by default; like tracing, recording never
-  // perturbs virtual time, so RunStats stay bit-identical either way.
+  // Flight recorder (src/obs/journal.h).
   bool journaling = false;
-  size_t journal_control_capacity = obs::Journal::kDefaultControlCapacity;
-  size_t journal_flow_capacity = obs::Journal::kDefaultFlowCapacity;
   // Deliberately-broken protocol variants (ProtocolParams docs); chaos self-tests only.
   bool break_recovery_nonce = false;
   bool break_counter_compare = false;
@@ -201,10 +199,8 @@ class Cluster {
 
   // --- Observability (src/obs) ---
   obs::MetricsRegistry& metrics() { return metrics_; }
-  obs::SpanTracer& tracer() { return tracer_; }
-  obs::Journal& journal() { return journal_; }
+  obs::Recorder& recorder() { return recorder_; }
   const obs::BreakdownAttributor& breakdown() const { return breakdown_; }
-  obs::CritPathCollector& critpath() { return critpath_; }
 
  private:
   std::unique_ptr<ReplicaBase> MakeReplica(uint32_t id, bool initial_launch);
@@ -213,10 +209,8 @@ class Cluster {
   ClusterConfig config_;
   uint32_t n_;
   obs::MetricsRegistry metrics_;
-  obs::SpanTracer tracer_;
-  obs::Journal journal_;
+  obs::Recorder recorder_;
   obs::BreakdownAttributor breakdown_;
-  obs::CritPathCollector critpath_;
   Simulation sim_;
   Network net_;
   CryptoSuite suite_;

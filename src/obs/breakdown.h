@@ -40,21 +40,30 @@ enum class Component : uint8_t {
 inline constexpr size_t kNumComponents = 8;
 const char* ComponentName(Component c);
 
+class Recorder;
+
+// The causal parent of the next record on a chain (src/obs/recorder.h). Opaque outside
+// src/obs: it holds each sink's own id for the parent (trace span, journal seq,
+// critical-path activity), zero where that sink is off; a default Cause is a chain root.
+class Cause {
+ private:
+  friend class Recorder;
+  uint64_t span_ = 0;
+  uint64_t seq_ = 0;
+  uint32_t activity_ = 0;
+};
+
 struct Path {
   SimTime origin = 0;         // Virtual time attribution started.
   SimTime covered_until = 0;  // origin + sum(parts); the invariant frontier.
   std::array<int64_t, kNumComponents> parts{};
-  uint64_t span = 0;     // Trace span id of the current context (for parent links).
-  uint64_t jparent = 0;  // Flight-recorder seq of the causal parent (src/obs/journal.h).
-  uint32_t activity = 0;  // Critical-path activity carrying this chain (src/obs/critpath.h).
+  Cause cause;  // Causal parent of the records this chain makes next.
 
-  void Restart(SimTime now, uint64_t span_id = 0) {
+  // Restarts attribution at `now`; the causal context is kept.
+  void Restart(SimTime now) {
     origin = now;
     covered_until = now;
     parts.fill(0);
-    span = span_id;
-    jparent = 0;
-    activity = 0;
   }
 
   void Extend(Component c, SimDuration d) {

@@ -355,7 +355,7 @@ double CritPathCollector::WhatIfMeanMs(const CritScales& scales) const {
 
 CritSummary CritPathCollector::Summarize() const {
   CritSummary out;
-  out.enabled = enabled_;
+  out.enabled = true;
   out.activities = used_activities_;
   out.segments = used_segments_;
   out.dropped_activities = dropped_activities_;

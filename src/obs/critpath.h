@@ -86,7 +86,8 @@ struct CritSummary {
   void ToJson(JsonWriter& w) const;
 };
 
-// The collector. One instance per cluster; hooks are cheap appends guarded by enabled().
+// The collector. One instance per profiled cluster (fed by obs::Recorder); hooks are
+// cheap appends.
 class CritPathCollector {
  public:
   enum class Kind : uint8_t { kOrigin = 0, kHandler = 1, kTransit = 2 };
@@ -105,10 +106,7 @@ class CritPathCollector {
   CritPathCollector() = default;
   explicit CritPathCollector(const Options& options) : options_(options) {}
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
-  // --- Recording hooks (called by Host / Network / CommitTracker) ---------------------
+  // --- Recording hooks (called by obs::Recorder) ---------------------------------------
 
   // A proposal origin: the handler re-anchored its path at `origin` (RestartPathAt).
   // Books the already-spent handler time [origin, local_now) as a kCpu service segment
@@ -136,7 +134,7 @@ class CritPathCollector {
   // service segment when the component matches.
   void AddService(uint32_t activity, Component c, SimDuration d);
 
-  // Quorum bookkeeping, called via ReplicaBase::CritNote / CritJoin. `key` identifies the
+  // Quorum bookkeeping, recorded via ReplicaBase::CritNote / CritJoin. `key` identifies the
   // quorum instance (replica x phase x height/hash); NoteInput marks the running handler
   // as carrying one input (sealing its frontier), JoinInputs attaches every noted input
   // to the handler that completed the quorum and records their slack.
@@ -182,7 +180,6 @@ class CritPathCollector {
   std::string PerfettoJson(size_t max_commits) const;
 
   uint64_t activities() const { return used_activities_; }
-  uint64_t segments() const { return used_segments_; }
   uint64_t dropped_activities() const { return dropped_activities_; }
   uint64_t dropped_segments() const { return dropped_segments_; }
   uint64_t commits() const { return commits_.size(); }
@@ -248,7 +245,6 @@ class CritPathCollector {
                    uint32_t bound, const CritScales& scales) const;
 
   Options options_;
-  bool enabled_ = false;
 
   std::vector<Activity> activities_{Activity{}};  // 1-based; slot 0 = null.
   std::vector<Segment> segments_{Segment{}};

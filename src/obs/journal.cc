@@ -2,79 +2,30 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "src/crypto/sha256.h"
-#include "src/obs/trace.h"
 
 namespace achilles {
 namespace obs {
 
+namespace {
+
+// Indexed by JournalKind (declaration order).
+constexpr const char* kKindNames[] = {
+    "boot", "crash", "stall", "send", "deliver", "ecall", "seal", "unseal", "counter-write",
+    "counter-read", "wal-append", "fsync", "wal-truncate", "rollback-reject", "halt",
+    "view-enter", "leader-elected", "lock-update", "propose", "commit", "checkpoint",
+    "recovery-enter", "recovery-round", "recovery-exit", "lease-grant", "lease-revoke",
+    "lease-serve", "checkpoint-stable", "log-truncate", "snapshot-fetch",
+    "oracle-violation",
+};
+static_assert(std::size(kKindNames) == kNumJournalKinds);
+
+}  // namespace
+
 const char* JournalKindName(JournalKind kind) {
-  switch (kind) {
-    case JournalKind::kBoot:
-      return "boot";
-    case JournalKind::kCrash:
-      return "crash";
-    case JournalKind::kStall:
-      return "stall";
-    case JournalKind::kSend:
-      return "send";
-    case JournalKind::kDeliver:
-      return "deliver";
-    case JournalKind::kEcall:
-      return "ecall";
-    case JournalKind::kSeal:
-      return "seal";
-    case JournalKind::kUnseal:
-      return "unseal";
-    case JournalKind::kCounterWrite:
-      return "counter-write";
-    case JournalKind::kCounterRead:
-      return "counter-read";
-    case JournalKind::kWalAppend:
-      return "wal-append";
-    case JournalKind::kFsync:
-      return "fsync";
-    case JournalKind::kWalTruncate:
-      return "wal-truncate";
-    case JournalKind::kRollbackReject:
-      return "rollback-reject";
-    case JournalKind::kHalt:
-      return "halt";
-    case JournalKind::kViewEnter:
-      return "view-enter";
-    case JournalKind::kLeaderElected:
-      return "leader-elected";
-    case JournalKind::kLockUpdate:
-      return "lock-update";
-    case JournalKind::kPropose:
-      return "propose";
-    case JournalKind::kCommit:
-      return "commit";
-    case JournalKind::kCheckpoint:
-      return "checkpoint";
-    case JournalKind::kRecoveryEnter:
-      return "recovery-enter";
-    case JournalKind::kRecoveryRound:
-      return "recovery-round";
-    case JournalKind::kRecoveryExit:
-      return "recovery-exit";
-    case JournalKind::kLeaseGrant:
-      return "lease-grant";
-    case JournalKind::kLeaseRevoke:
-      return "lease-revoke";
-    case JournalKind::kLeaseServe:
-      return "lease-serve";
-    case JournalKind::kCheckpointStable:
-      return "checkpoint-stable";
-    case JournalKind::kLogTruncate:
-      return "log-truncate";
-    case JournalKind::kSnapshotFetch:
-      return "snapshot-fetch";
-    case JournalKind::kOracleViolation:
-      return "oracle-violation";
-  }
-  return "?";
+  return kKindNames[static_cast<size_t>(kind)];
 }
 
 bool JournalKindIsFlow(JournalKind kind) {
@@ -111,9 +62,6 @@ Journal::NodeRings& Journal::RingsFor(uint32_t node) {
 
 uint64_t Journal::Record(uint32_t node, JournalKind kind, SimTime ts, uint64_t parent,
                          uint64_t a, uint64_t b, std::string detail) {
-  if (!enabled_) {
-    return 0;
-  }
   NodeRings& rings = RingsFor(node);
   if (kind == JournalKind::kBoot) {
     ++rings.incarnation;
@@ -195,26 +143,6 @@ std::string Journal::DigestHex() const {
   const Hash256 digest =
       Sha256Digest(ByteView(reinterpret_cast<const uint8_t*>(text.data()), text.size()));
   return HashToHex(digest);
-}
-
-void Journal::AnnotateTracer(SpanTracer* tracer) const {
-  if (tracer == nullptr || !tracer->enabled()) {
-    return;
-  }
-  for (const JournalRecord& record : Events()) {
-    if (JournalKindIsFlow(record.kind)) {
-      continue;
-    }
-    tracer->Instant(JournalKindName(record.kind), record.node, record.ts, /*parent=*/0,
-                    /*arg=*/record.a);
-  }
-}
-
-void Journal::Clear() {
-  nodes_.clear();
-  next_seq_ = 1;
-  recorded_ = 0;
-  evicted_ = 0;
 }
 
 }  // namespace obs

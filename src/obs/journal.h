@@ -28,8 +28,6 @@
 namespace achilles {
 namespace obs {
 
-class SpanTracer;
-
 enum class JournalKind : uint8_t {
   // Host lifecycle.
   kBoot = 0,        // Process bound (genesis or post-reboot); bumps the node's incarnation.
@@ -107,19 +105,13 @@ class Journal {
   explicit Journal(size_t control_capacity = kDefaultControlCapacity,
                    size_t flow_capacity = kDefaultFlowCapacity);
 
-  // Disabled journals drop every event and hand out seq 0, so hooks can stay in place
-  // unconditionally.
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
-  // Records one event and returns its seq (0 when disabled). `ts` is the recording host's
+  // Records one event and returns its seq. `ts` is the recording host's
   // LocalNow; nodes are created on first use.
   uint64_t Record(uint32_t node, JournalKind kind, SimTime ts, uint64_t parent = 0,
                   uint64_t a = 0, uint64_t b = 0, std::string detail = {});
 
   // Boot count of `node` so far (0 before its first kBoot).
   uint32_t incarnation(uint32_t node) const;
-  size_t num_nodes() const { return nodes_.size(); }
 
   // Surviving events of one node / of all nodes, in seq order.
   std::vector<JournalRecord> NodeEvents(uint32_t node) const;
@@ -134,12 +126,6 @@ class Journal {
   // SHA-256 hex of ToText(): the replay-determinism fingerprint.
   std::string DigestHex() const;
 
-  // Exports the surviving control-ring events as instant events into `tracer` (flow events
-  // are skipped: they would drown the trace that Host already records span-per-handler).
-  void AnnotateTracer(SpanTracer* tracer) const;
-
-  void Clear();
-
  private:
   struct NodeRings {
     std::deque<JournalRecord> control;
@@ -149,7 +135,6 @@ class Journal {
 
   NodeRings& RingsFor(uint32_t node);
 
-  bool enabled_ = false;
   size_t control_capacity_;
   size_t flow_capacity_;
   uint64_t next_seq_ = 1;

@@ -23,15 +23,12 @@ void SpanTracer::Push(const SpanEvent& e) {
 uint64_t SpanTracer::Begin(const char* name, uint32_t tid, SimTime now, uint64_t parent,
                            uint64_t arg) {
   const uint64_t id = next_id_++;
-  if (!enabled_) {
-    return id;
-  }
   Push(SpanEvent{SpanEvent::Kind::kBegin, tid, name, id, parent, arg, now});
   return id;
 }
 
 void SpanTracer::End(uint64_t id, uint32_t tid, SimTime now) {
-  if (!enabled_ || id == 0) {
+  if (id == 0) {
     return;
   }
   Push(SpanEvent{SpanEvent::Kind::kEnd, tid, "", id, 0, 0, now});
@@ -39,16 +36,7 @@ void SpanTracer::End(uint64_t id, uint32_t tid, SimTime now) {
 
 void SpanTracer::Instant(const char* name, uint32_t tid, SimTime now, uint64_t parent,
                          uint64_t arg) {
-  if (!enabled_) {
-    return;
-  }
   Push(SpanEvent{SpanEvent::Kind::kInstant, tid, name, 0, parent, arg, now});
-}
-
-void SpanTracer::Clear() {
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
 }
 
 std::vector<SpanEvent> SpanTracer::Events() const {

@@ -37,19 +37,12 @@ class SpanTracer {
 
   explicit SpanTracer(size_t capacity = kDefaultCapacity);
 
-  // Disabled tracers drop every event (Begin still hands out ids so parent links stay
-  // coherent if re-enabled mid-run).
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
   // Records a span opening at `now`; returns its id (always nonzero).
   uint64_t Begin(const char* name, uint32_t tid, SimTime now, uint64_t parent = 0,
                  uint64_t arg = 0);
   void End(uint64_t id, uint32_t tid, SimTime now);
   void Instant(const char* name, uint32_t tid, SimTime now, uint64_t parent = 0,
                uint64_t arg = 0);
-
-  void Clear();
 
   // Events in chronological (recording) order, oldest surviving first.
   std::vector<SpanEvent> Events() const;
@@ -66,7 +59,6 @@ class SpanTracer {
  private:
   void Push(const SpanEvent& e);
 
-  bool enabled_ = false;
   std::vector<SpanEvent> ring_;
   size_t head_ = 0;      // Next write position.
   size_t size_ = 0;      // Occupied slots.

@@ -15,13 +15,11 @@ void Host::AttachMetrics(obs::MetricsRegistry* registry) {
   queue_wait_ns_ = registry->GetHistogram("host.queue_wait_ns");
 }
 
-uint64_t Host::JournalEvent(obs::JournalKind kind, uint64_t a, uint64_t b,
-                            std::string detail) {
-  if (journal_ == nullptr || !journal_->enabled()) {
-    return 0;
+void Host::JournalEvent(obs::JournalKind kind, uint64_t a, uint64_t b,
+                        std::string_view detail) {
+  if (recorder_ != nullptr) {
+    recorder_->Event(id_, kind, LocalNow(), cause(), a, b, detail);
   }
-  return journal_->Record(id_, kind, LocalNow(), cur_path_.jparent, a, b,
-                          std::move(detail));
 }
 
 void Host::BindProcess(std::unique_ptr<IProcess> process) {
@@ -29,8 +27,8 @@ void Host::BindProcess(std::unique_ptr<IProcess> process) {
   process_ = std::move(process);
   up_ = true;
   cpu_free_at_ = sim_->Now();
-  if (journal_ != nullptr && journal_->enabled()) {
-    journal_->Record(id_, obs::JournalKind::kBoot, sim_->Now(), 0, epoch_);
+  if (recorder_ != nullptr) {
+    recorder_->Event(id_, obs::JournalKind::kBoot, sim_->Now(), {}, epoch_);
   }
   if (lifecycle_) {
     lifecycle_(id_, "boot");
@@ -61,11 +59,8 @@ void Host::Crash() {
     sim_->Cancel(timer.event);
   }
   timers_.clear();
-  if (journal_ != nullptr && journal_->enabled()) {
-    journal_->Record(id_, obs::JournalKind::kCrash, sim_->Now(), 0, epoch_);
-  }
-  if (critpath_ != nullptr) {
-    critpath_->OnHostCrash(id_);  // Reboot resets cpu_free_at_: sever the CPU chain.
+  if (recorder_ != nullptr) {
+    recorder_->Event(id_, obs::JournalKind::kCrash, sim_->Now(), {}, epoch_);
   }
   if (lifecycle_) {
     lifecycle_(id_, "crash");
@@ -79,8 +74,8 @@ void Host::InjectStall(SimDuration d) {
   }
   // A stall is just a handler that burns CPU: everything queued behind it (and any arrival
   // during the stall) waits it out, exactly like a long GC pause would behave.
-  if (journal_ != nullptr && journal_->enabled()) {
-    journal_->Record(id_, obs::JournalKind::kStall, sim_->Now(), 0,
+  if (recorder_ != nullptr) {
+    recorder_->Event(id_, obs::JournalKind::kStall, sim_->Now(), {},
                      static_cast<uint64_t>(d));
   }
   Work work;
@@ -149,15 +144,6 @@ void Host::FinishDelivery(Delivery* d) {
   // while the host is down are lost, while messages still in flight across a reboot reach
   // the new incarnation (the network layer has no per-connection state to tear down).
   if (up_ && process_) {
-    // Flight recorder: one deliver event per accepted arrival, parented to the send that
-    // produced it (the seq rides in the path); the handler it queues inherits the deliver
-    // event as its causal context.
-    uint64_t jctx = 0;
-    if (journal_ != nullptr && journal_->enabled()) {
-      jctx = journal_->Record(id_, obs::JournalKind::kDeliver, sim_->Now(),
-                              d->has_path ? d->path.jparent : 0, d->from,
-                              d->msg->WireSize(), d->msg->TraceName());
-    }
     Work work;
     work.kind = WorkKind::kMessage;
     work.from = d->from;
@@ -167,7 +153,13 @@ void Host::FinishDelivery(Delivery* d) {
     if (d->has_path) {
       work.path = d->path;
     }
-    work.jctx = jctx;
+    // One deliver record per accepted arrival, parented to the send that produced it; the
+    // handler it queues runs under the deliver record.
+    if (recorder_ != nullptr) {
+      work.path.cause = recorder_->Event(id_, obs::JournalKind::kDeliver, sim_->Now(),
+                                         work.path.cause, work.from, work.msg->WireSize(),
+                                         work.name);
+    }
     PushWork(std::move(work));
   }
   FreeDelivery(d);
@@ -178,8 +170,8 @@ void Host::ChargeCpuAs(obs::Component c, SimDuration d) {
   if (in_handler_) {
     handler_charge_ += d;
     cur_path_.Extend(c, d);
-    if (critpath_ != nullptr && cur_path_.activity != 0) {
-      critpath_->AddService(cur_path_.activity, c, d);
+    if (recorder_ != nullptr) {
+      recorder_->Charge(cur_path_.cause, c, d);
     }
   } else {
     // Charges outside a handler (e.g. setup) extend the CPU horizon directly.
@@ -202,17 +194,12 @@ obs::Path Host::SendPath() const {
 }
 
 void Host::RestartPathAt(SimTime origin) {
-  const uint64_t span = cur_path_.span;
-  const uint64_t jparent = cur_path_.jparent;  // Same handler context, same causal parent.
-  cur_path_.Restart(origin, span);
-  cur_path_.jparent = jparent;
+  cur_path_.Restart(origin);  // Same handler context, same causal parent.
   // Any handler time already spent past `origin` (e.g. building the block that defines the
   // proposal point) is CPU service; re-covering it keeps sum(parts) == LocalNow - origin.
   cur_path_.CoverUntil(obs::Component::kCpu, LocalNow());
-  if (critpath_ != nullptr && critpath_->enabled()) {
-    cur_path_.activity = critpath_->BeginOrigin(id_, origin, LocalNow());
-  } else {
-    cur_path_.activity = 0;
+  if (recorder_ != nullptr) {
+    recorder_->Origin(id_, origin, LocalNow(), &cur_path_.cause);
   }
 }
 
@@ -282,30 +269,20 @@ void Host::DrainOne() {
   in_handler_ = true;
   handler_charge_ = 0;
   const SimTime start = sim_->Now();
-  if (work.has_path) {
-    cur_path_ = work.path;
-  } else {
-    cur_path_.Restart(start);  // Timer/start handlers begin a fresh causal chain.
+  if (!work.has_path) {
+    // Timer/start handlers and path-less deliveries begin a fresh attribution chain (under
+    // their deliver record, if any).
+    work.path.Restart(start);
   }
-  // The handler's journal parent is its deliver event (path-less deliveries included).
-  cur_path_.jparent = work.jctx;
+  cur_path_ = work.path;
   // Run-queue wait between arrival (the path frontier) and handler start.
   if (queue_wait_ns_ != nullptr && start > cur_path_.covered_until) {
     queue_wait_ns_->Record(start - cur_path_.covered_until);
   }
-  if (critpath_ != nullptr && critpath_->enabled()) {
-    cur_path_.activity = critpath_->BeginHandler(id_, work.name, cur_path_.activity,
-                                                 cur_path_.covered_until, start);
-  } else {
-    cur_path_.activity = 0;
+  if (recorder_ != nullptr) {
+    recorder_->Dispatch(id_, work.name, cur_path_.covered_until, start, &cur_path_.cause);
   }
   cur_path_.CoverUntil(obs::Component::kCpu, start);
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    cur_path_.span = tracer_->Begin(work.name, id_, start, cur_path_.span);
-  } else {
-    cur_path_.span = 0;
-  }
-  const uint64_t span = cur_path_.span;
   switch (work.kind) {
     case WorkKind::kMessage:
       process_->OnMessage(work.from, work.msg);
@@ -320,8 +297,8 @@ void Host::DrainOne() {
       ChargeCpu(work.stall);
       break;
   }
-  if (span != 0 && tracer_ != nullptr) {
-    tracer_->End(span, id_, start + handler_charge_);
+  if (recorder_ != nullptr) {
+    recorder_->HandlerEnd(id_, cur_path_.cause, start + handler_charge_);
   }
   if (handler_ns_ != nullptr) {
     handler_ns_->Record(handler_charge_);

@@ -10,8 +10,9 @@
 //
 // Observability: every CPU charge carries an obs::Component tag and every queued handler
 // carries the obs::Path of the causal chain that triggered it, so committed-block latency
-// can be attributed without touching virtual time (see src/obs/breakdown.h). An optional
-// SpanTracer records one span per handler, parent-linked across hosts.
+// can be attributed without touching virtual time (see src/obs/breakdown.h). Every
+// observation (dispatch, charge, lifecycle, journal kinds) is emitted once into the
+// cluster's obs::Recorder, when one is attached.
 #ifndef SRC_SIM_HOST_H_
 #define SRC_SIM_HOST_H_
 
@@ -19,14 +20,14 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "src/obs/breakdown.h"
-#include "src/obs/critpath.h"
 #include "src/obs/journal.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 #include "src/sim/process.h"
 #include "src/sim/simulation.h"
 
@@ -99,29 +100,16 @@ class Host {
   // Restarts attribution at `origin` (a proposal point); time already spent in the handler
   // since `origin` is booked as CPU so the invariant holds.
   void RestartPathAt(SimTime origin);
-  // Span id of the running handler (parent for nested protocol spans); 0 when untraced.
-  uint64_t current_span() const { return cur_path_.span; }
 
-  void set_tracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
-  obs::SpanTracer* tracer() const { return tracer_; }
-  // Flight recorder (src/obs/journal.h). Lifecycle, delivery, and TEE hooks record into it;
-  // like the tracer, recording is memory-only and never perturbs virtual time.
-  void set_journal(obs::Journal* journal) { journal_ = journal; }
-  obs::Journal* journal() const { return journal_; }
-  // Critical-path collector (src/obs/critpath.h): handler/origin activities register here
-  // and ride in cur_path_.activity. Memory-only bookkeeping, zero virtual cost.
-  void set_critpath(obs::CritPathCollector* critpath) { critpath_ = critpath; }
-  obs::CritPathCollector* critpath() const { return critpath_; }
-  // Critical-path activity of the running handler (0 = none / collection off).
-  uint32_t current_activity() const { return cur_path_.activity; }
-  // Journal seq of the event that caused the running handler (the deliver/send chain);
-  // 0 outside a handler or when journaling is off. New records made by the handler use it
-  // as their causal parent.
-  uint64_t current_jparent() const { return cur_path_.jparent; }
-  // Records a journal event on this host's track at LocalNow(), parented to the running
-  // handler's causal context. Returns the seq (0 when journaling is off).
-  uint64_t JournalEvent(obs::JournalKind kind, uint64_t a = 0, uint64_t b = 0,
-                        std::string detail = {});
+  // Record stream (src/obs/recorder.h); null when every sink is off. Recording is
+  // memory-only and never perturbs virtual time.
+  void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
+  obs::Recorder* recorder() const { return recorder_; }
+  // Causal parent for records made now: the running handler's context.
+  const obs::Cause& cause() const { return cur_path_.cause; }
+  // Records a journal-kind event on this host's track at LocalNow() under cause().
+  void JournalEvent(obs::JournalKind kind, uint64_t a = 0, uint64_t b = 0,
+                    std::string_view detail = {});
   // Registers this host's hot-path instruments (shared across hosts by metric name).
   void AttachMetrics(obs::MetricsRegistry* registry);
 
@@ -138,8 +126,7 @@ class Host {
     std::function<void()> fn;    // kTimer.
     SimDuration stall = 0;       // kStall.
     const char* name;            // Trace span label (static string).
-    obs::Path path;
-    uint64_t jctx = 0;  // Journal seq of the deliver event that queued this work.
+    obs::Path path;              // Frontier used only with has_path; cause always.
   };
 
   // In-flight message: payload + attribution snapshot parked between the network's
@@ -180,9 +167,7 @@ class Host {
 
   obs::Path cur_path_;
   LifecycleListener lifecycle_;
-  obs::SpanTracer* tracer_ = nullptr;
-  obs::Journal* journal_ = nullptr;
-  obs::CritPathCollector* critpath_ = nullptr;
+  obs::Recorder* recorder_ = nullptr;
   obs::Histogram* handler_ns_ = nullptr;    // Per-handler CPU charge distribution.
   obs::Histogram* queue_wait_ns_ = nullptr; // Arrival -> handler-start wait distribution.
 

@@ -49,21 +49,21 @@ SimTime Network::Send(uint32_t from, uint32_t to, MessageRef msg) {
   // Attribution: the sender's causal chain rides along with the delivery, extended by the
   // wire-level components computed below.
   obs::Path path = hosts_[from]->SendPath();
-  // Flight recorder: one send event parented to the sender's handler context; its seq
-  // rides in the path so the receiver's deliver event can point back at it.
-  obs::Journal* journal = hosts_[from]->journal();
-  if (journal != nullptr && journal->enabled()) {
-    path.jparent = journal->Record(from, obs::JournalKind::kSend, departure, path.jparent,
-                                   to, msg->WireSize(), msg->TraceName());
+  // Into the sender's record stream: one send record under the sender's handler context
+  // (the path carries it on so the receiver's deliver record points back at it), then
+  // the transit (NIC wait/serialization + propagation) on the delivered path.
+  obs::Recorder* recorder = hosts_[from]->recorder();
+  if (recorder != nullptr) {
+    path.cause = recorder->Event(from, obs::JournalKind::kSend, departure, path.cause, to,
+                                  msg->WireSize(), msg->TraceName());
   }
   if (from == to) {
     const SimTime arrival = departure + config_.loopback_delay;
     const SimTime dep = path.covered_until;  // Sender's causal frontier at Send.
     path.CoverUntil(obs::Component::kNetPropagation, arrival);
-    if (critpath_ != nullptr && critpath_->enabled()) {
-      path.activity = critpath_->BeginTransit(from, to, msg->TraceName(), path.activity,
-                                              dep, dep, dep, arrival, /*nic=*/0,
-                                              /*holds_nic=*/false);
+    if (recorder != nullptr) {
+      recorder->Transit(from, to, msg->TraceName(), dep, dep, dep, arrival, /*nic=*/0,
+                         /*holds_nic=*/false, &path.cause);
     }
     if (tap_) {
       tap_(from, to, msg, arrival);
@@ -109,10 +109,9 @@ SimTime Network::Send(uint32_t from, uint32_t to, MessageRef msg) {
   const SimTime dep = path.covered_until;  // Sender's causal frontier at Send.
   path.CoverUntil(obs::Component::kNicSerialization, tx_end);
   path.CoverUntil(obs::Component::kNetPropagation, arrival);
-  if (critpath_ != nullptr && critpath_->enabled()) {
-    path.activity = critpath_->BeginTransit(from, to, msg->TraceName(), path.activity, dep,
-                                            tx_start, tx_end, arrival, nic,
-                                            /*holds_nic=*/true);
+  if (recorder != nullptr) {
+    recorder->Transit(from, to, msg->TraceName(), dep, tx_start, tx_end, arrival, nic,
+                       /*holds_nic=*/true, &path.cause);
   }
   if (tap_) {
     tap_(from, to, msg, arrival);
@@ -126,12 +125,11 @@ SimTime Network::Send(uint32_t from, uint32_t to, MessageRef msg) {
             sim_->rng().UniformU64(static_cast<uint64_t>(chaos_.dup_delay_max) + 1));
     obs::Path dup_path = path;
     dup_path.CoverUntil(obs::Component::kNetPropagation, dup_arrival);
-    if (critpath_ != nullptr && critpath_->enabled()) {
+    if (recorder != nullptr) {
       // The duplicate is triggered by the original transit; it holds no NIC (the bytes
       // already left the sender) and only adds propagation past the first arrival.
-      dup_path.activity = critpath_->BeginTransit(from, to, msg->TraceName(), path.activity,
-                                                  arrival, arrival, arrival, dup_arrival,
-                                                  /*nic=*/0, /*holds_nic=*/false);
+      recorder->Transit(from, to, msg->TraceName(), arrival, arrival, arrival, dup_arrival,
+                         /*nic=*/0, /*holds_nic=*/false, &dup_path.cause);
     }
     if (tap_) {
       tap_(from, to, msg, dup_arrival);

@@ -93,10 +93,6 @@ class Network {
   // `registry`. Observability only — no effect on simulated timing.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
-  // Critical-path collector: every Send records a transit activity (NIC wait/serialization
-  // + propagation) on the delivered path. Memory-only, zero virtual cost.
-  void set_critpath(obs::CritPathCollector* critpath) { critpath_ = critpath; }
-
  private:
   Simulation* sim_;
   NetworkConfig config_;
@@ -112,7 +108,6 @@ class Network {
   obs::Counter* messages_metric_ = nullptr;
   obs::Counter* bytes_metric_ = nullptr;
   obs::Histogram* nic_wait_ns_ = nullptr;  // Departure -> wire (egress queueing) per message.
-  obs::CritPathCollector* critpath_ = nullptr;
 };
 
 }  // namespace achilles

@@ -195,7 +195,7 @@ TEST(CheckpointClusterTest, CorruptSnapshotIsRejectedOnReboot) {
   cluster.RebootReplica(victim);
   cluster.sim().RunFor(Sec(2));
   bool rejected = false;
-  for (const obs::JournalRecord& r : cluster.journal().NodeEvents(victim)) {
+  for (const obs::JournalRecord& r : cluster.recorder().journal()->NodeEvents(victim)) {
     if (r.kind == obs::JournalKind::kRollbackReject && r.detail == "ckpt/corrupt-snapshot") {
       rejected = true;
     }
@@ -219,7 +219,7 @@ TEST(CheckpointClusterTest, StaleSnapshotUnderASealedCertIsRejected) {
   cluster.RebootReplica(victim);
   cluster.sim().RunFor(Sec(2));
   bool rejected = false;
-  for (const obs::JournalRecord& r : cluster.journal().NodeEvents(victim)) {
+  for (const obs::JournalRecord& r : cluster.recorder().journal()->NodeEvents(victim)) {
     if (r.kind == obs::JournalKind::kRollbackReject && r.detail == "ckpt/stale-snapshot") {
       rejected = true;
     }

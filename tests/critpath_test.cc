@@ -37,7 +37,6 @@ double SumCritMs(const CritSummary& s) {
 // Every segment is hand-placed, so the per-component sums are checked exactly.
 TEST(CritPathTest, HandBuiltChainExtraction) {
   CritPathCollector cp;
-  cp.set_enabled(true);
   // Proposal at t=1000; 2000 ns of block building booked at the origin.
   const uint32_t o = cp.BeginOrigin(0, 1000, 3000);
   ASSERT_NE(o, 0u);
@@ -94,7 +93,6 @@ TEST(CritPathTest, HandBuiltChainExtraction) {
 // explains it; the busy core then hides wins that only shorten the waiting chain.
 TEST(CritPathTest, WaitAttributedToCpuPredecessor) {
   CritPathCollector cp;
-  cp.set_enabled(true);
   // An unrelated 2000 ns task occupies n1's core from t=5000 to t=7000.
   const uint32_t prior = cp.BeginHandler(1, "prior", 0, 5000, 5000);
   cp.AddService(prior, Component::kCpu, 2000);
@@ -132,7 +130,6 @@ TEST(CritPathTest, WaitAttributedToCpuPredecessor) {
 // Checks slack accounting and that the what-if engine respects join dependencies.
 TEST(CritPathTest, JoinSlackAndWhatIfDependencies) {
   CritPathCollector cp;
-  cp.set_enabled(true);
   const uint64_t key = 77;
   const uint32_t o = cp.BeginOrigin(2, 0, 100);
   // Input A (node 0): 400 ns of crypto, noted at its frontier.
@@ -177,7 +174,6 @@ TEST(CritPathTest, PoolOverflowCountsTruncatedCommits) {
   CritPathCollector::Options options;
   options.max_activities = 2;
   CritPathCollector cp(options);
-  cp.set_enabled(true);
   const uint32_t o = cp.BeginOrigin(0, 0, 10);
   const uint32_t t = cp.BeginTransit(0, 1, "m", o, 10, 10, 20, 30, 0, true);
   EXPECT_NE(t, 0u);
@@ -250,15 +246,15 @@ TEST(CritPathClusterTest, ProfilerIsZeroPerturbation) {
     config.journaling = true;
     Cluster cluster(config);
     off = cluster.RunMeasured(Ms(200), Sec(1));
-    journal_off = cluster.journal().DigestHex();
+    journal_off = cluster.recorder().journal()->DigestHex();
   }
   {
     ClusterConfig config = CritConfig(Protocol::kAchilles, 7);
     config.journaling = true;
     Cluster cluster(config);
     on = cluster.RunMeasured(Ms(200), Sec(1));
-    journal_on = cluster.journal().DigestHex();
-    EXPECT_GT(cluster.critpath().activities(), 0u);
+    journal_on = cluster.recorder().journal()->DigestHex();
+    EXPECT_GT(cluster.recorder().critpath()->activities(), 0u);
   }
   // Bit-identical virtual-time outcomes: the profiler must never perturb the schedule.
   EXPECT_EQ(off.throughput_tps, on.throughput_tps);
@@ -359,7 +355,8 @@ TEST(CritPathClusterTest, ExportsParseAndCarryTheProfile) {
   Cluster cluster(CritConfig(Protocol::kAchilles, 9));
   const RunStats stats = cluster.RunMeasured(Ms(200), Ms(600));
   ASSERT_GT(stats.critpath.commits, 0u);
-  const auto profile = obs::ParseJson(cluster.critpath().ProfileJson());
+  const obs::CritPathCollector& cp = *cluster.recorder().critpath();
+  const auto profile = obs::ParseJson(cp.ProfileJson());
   ASSERT_TRUE(profile.has_value());
   ASSERT_TRUE(profile->is_object());
   const obs::JsonValue* summary = profile->Get("summary");
@@ -371,14 +368,14 @@ TEST(CritPathClusterTest, ExportsParseAndCarryTheProfile) {
   EXPECT_FALSE(blame->array.empty());
   ASSERT_NE(profile->Get("slack"), nullptr);
   // The folded flamegraph has one "stack count" pair per line.
-  const std::string folded = cluster.critpath().FoldedStacks();
+  const std::string folded = cp.FoldedStacks();
   ASSERT_FALSE(folded.empty());
   const size_t eol = folded.find('\n');
   const std::string first = folded.substr(0, eol);
   EXPECT_NE(first.find(';'), std::string::npos);
   EXPECT_NE(first.rfind(' '), std::string::npos);
   // Perfetto annotation export is valid trace JSON with critpath slices.
-  const auto perfetto = obs::ParseJson(cluster.critpath().PerfettoJson(4));
+  const auto perfetto = obs::ParseJson(cp.PerfettoJson(4));
   ASSERT_TRUE(perfetto.has_value());
   const obs::JsonValue* events = perfetto->Get("traceEvents");
   ASSERT_NE(events, nullptr);

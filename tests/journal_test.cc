@@ -9,7 +9,7 @@
 #include "src/chaos/runner.h"
 #include "src/obs/forensics.h"
 #include "src/obs/journal.h"
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 
 namespace achilles {
 namespace {
@@ -23,18 +23,8 @@ using obs::JournalRecord;
 
 // --- Journal ring mechanics ---
 
-TEST(JournalTest, DisabledJournalDropsEverything) {
-  Journal journal;
-  EXPECT_FALSE(journal.enabled());
-  EXPECT_EQ(journal.Record(0, JournalKind::kBoot, Ms(1)), 0u);
-  EXPECT_EQ(journal.recorded(), 0u);
-  EXPECT_EQ(journal.live(), 0u);
-  EXPECT_EQ(journal.num_nodes(), 0u);
-}
-
 TEST(JournalTest, RecordAssignsMonotonicSeqsAndIncarnations) {
   Journal journal;
-  journal.set_enabled(true);
   const uint64_t s1 = journal.Record(1, JournalKind::kBoot, Ms(1));
   const uint64_t s2 = journal.Record(1, JournalKind::kViewEnter, Ms(2), s1, /*a=*/3);
   const uint64_t s3 = journal.Record(1, JournalKind::kCrash, Ms(3));
@@ -52,7 +42,6 @@ TEST(JournalTest, RecordAssignsMonotonicSeqsAndIncarnations) {
 
 TEST(JournalTest, BoundedMemoryEvictsOldFlowBeforeControl) {
   Journal journal(/*control_capacity=*/4, /*flow_capacity=*/8);
-  journal.set_enabled(true);
   journal.Record(0, JournalKind::kBoot, 0);
   for (int i = 0; i < 100; ++i) {
     journal.Record(0, JournalKind::kSend, Ms(i), 0, /*a=*/1, /*b=*/64, "msg");
@@ -81,7 +70,6 @@ TEST(JournalTest, BoundedMemoryEvictsOldFlowBeforeControl) {
 TEST(JournalTest, DigestIsDeterministicAndSensitive) {
   auto build = [](bool extra) {
     Journal journal(16, 16);
-    journal.set_enabled(true);
     journal.Record(0, JournalKind::kBoot, 0);
     journal.Record(0, JournalKind::kViewEnter, Ms(1), 0, 1);
     if (extra) {
@@ -93,26 +81,27 @@ TEST(JournalTest, DigestIsDeterministicAndSensitive) {
   EXPECT_NE(build(false), build(true));
 }
 
-TEST(JournalTest, AnnotateTracerExportsControlEventsOnly) {
-  Journal journal;
-  journal.set_enabled(true);
-  journal.Record(2, JournalKind::kBoot, Ms(1));
-  journal.Record(2, JournalKind::kSend, Ms(2), 0, 1, 64, "vote");
-  journal.Record(2, JournalKind::kCommit, Ms(3), 0, /*height=*/5);
-  obs::SpanTracer tracer;
-  tracer.set_enabled(true);
-  journal.AnnotateTracer(&tracer);
-  const std::string json = tracer.ExportChromeTrace();
-  EXPECT_NE(json.find("boot"), std::string::npos);
-  EXPECT_NE(json.find("commit"), std::string::npos);
-  EXPECT_EQ(json.find("\"send\""), std::string::npos);  // Flow events are skipped.
+// Both trace renderings of journal records (live instants and the incident trace built
+// from the journal) show control kinds only.
+TEST(JournalTest, TraceRendersControlRecordsOnly) {
+  for (const bool live : {true, false}) {
+    obs::Recorder recorder(/*tracing=*/live, /*trace_capacity=*/64, /*journaling=*/!live,
+                           /*critpath=*/false);
+    recorder.Event(2, JournalKind::kBoot, Ms(1), {});
+    recorder.Event(2, JournalKind::kSend, Ms(2), {}, 1, 64, "vote");
+    recorder.Event(2, JournalKind::kCommit, Ms(3), {}, /*height=*/5);
+    const std::string json =
+        live ? recorder.tracer()->ExportChromeTrace() : recorder.JournalTraceJson();
+    EXPECT_NE(json.find("boot"), std::string::npos) << json;
+    EXPECT_NE(json.find("commit"), std::string::npos) << json;
+    EXPECT_EQ(json.find("\"send\""), std::string::npos) << json;  // Flow kinds skipped.
+  }
 }
 
 // --- Forensics invariant predicates over synthetic journals ---
 
 TEST(ForensicsTest, RecoveryFreshnessPredicateNamesStaleRound) {
   Journal journal;
-  journal.set_enabled(true);
   journal.Record(1, JournalKind::kBoot, Ms(1));
   journal.Record(1, JournalKind::kRecoveryEnter, Ms(2));
   journal.Record(1, JournalKind::kRecoveryRound, Ms(3), 0, /*nonce=*/70);
@@ -134,7 +123,6 @@ TEST(ForensicsTest, RecoveryFreshnessPredicateNamesStaleRound) {
 
 TEST(ForensicsTest, CommitAgreementPredicate) {
   Journal journal;
-  journal.set_enabled(true);
   journal.Record(0, JournalKind::kCommit, Ms(1), 0, /*height=*/7, /*hash=*/0xaaaa);
   journal.Record(2, JournalKind::kCommit, Ms(2), 0, /*height=*/7, /*hash=*/0xbbbb);
   obs::IncidentQuery query;
@@ -147,7 +135,6 @@ TEST(ForensicsTest, CommitAgreementPredicate) {
 
 TEST(ForensicsTest, CounterMonotonicityPredicate) {
   Journal journal;
-  journal.set_enabled(true);
   journal.Record(3, JournalKind::kCounterWrite, Ms(1), 0, /*value=*/5);
   journal.Record(3, JournalKind::kCounterWrite, Ms(2), 0, /*value=*/6);
   journal.Record(3, JournalKind::kCounterRead, Ms(3), 0, /*value=*/2);  // Regression.
@@ -160,7 +147,6 @@ TEST(ForensicsTest, CounterMonotonicityPredicate) {
 
 TEST(ForensicsTest, StaleSealAcceptedPredicate) {
   Journal journal;
-  journal.set_enabled(true);
   journal.Record(1, JournalKind::kBoot, Ms(1));
   // Unseal served version 2 of 5 (stale), then the replica kept doing protocol work.
   journal.Record(1, JournalKind::kUnseal, Ms(2), 0, /*served=*/2, /*latest=*/5);
@@ -175,7 +161,6 @@ TEST(ForensicsTest, StaleSealAcceptedPredicate) {
 
 TEST(ForensicsTest, RollbackRejectClearsStaleSeal) {
   Journal journal;
-  journal.set_enabled(true);
   journal.Record(1, JournalKind::kUnseal, Ms(2), 0, /*served=*/2, /*latest=*/5);
   journal.Record(1, JournalKind::kRollbackReject, Ms(3), 0, /*sealed=*/2, /*expected=*/5);
   journal.Record(1, JournalKind::kHalt, Ms(3));

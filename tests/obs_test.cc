@@ -8,6 +8,7 @@
 #include "src/obs/breakdown.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/obs/recorder.h"
 #include "src/obs/trace.h"
 
 namespace achilles {
@@ -226,7 +227,6 @@ TEST(JsonTest, ParserRejectsMalformed) {
 
 TEST(SpanTracerTest, NestingAndParentLinks) {
   obs::SpanTracer tracer;
-  tracer.set_enabled(true);
   const uint64_t outer = tracer.Begin("handler", /*tid=*/0, Us(10));
   const uint64_t inner = tracer.Begin("verify", /*tid=*/0, Us(12), outer);
   tracer.End(inner, 0, Us(15));
@@ -244,18 +244,8 @@ TEST(SpanTracerTest, NestingAndParentLinks) {
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
-TEST(SpanTracerTest, DisabledTracerRecordsNothingButHandsOutIds) {
-  obs::SpanTracer tracer;
-  const uint64_t a = tracer.Begin("x", 0, Us(1));
-  const uint64_t b = tracer.Begin("y", 0, Us(2));
-  EXPECT_NE(a, 0u);
-  EXPECT_NE(b, a);
-  EXPECT_TRUE(tracer.Events().empty());
-}
-
 TEST(SpanTracerTest, RingBufferWrapsAndCountsDropped) {
   obs::SpanTracer tracer(/*capacity=*/8);
-  tracer.set_enabled(true);
   for (int i = 0; i < 20; ++i) {
     tracer.Instant("tick", 0, Us(i));
   }
@@ -266,7 +256,6 @@ TEST(SpanTracerTest, RingBufferWrapsAndCountsDropped) {
 
 TEST(SpanTracerTest, ChromeTraceExportIsValidTraceEventJson) {
   obs::SpanTracer tracer;
-  tracer.set_enabled(true);
   const uint64_t parent = tracer.Begin("propose", /*tid=*/1, Us(100), 0, /*arg=*/5);
   const uint64_t child = tracer.Begin("vote", /*tid=*/2, Us(150), parent);
   tracer.End(child, 2, Us(180));
@@ -318,6 +307,66 @@ TEST(SpanTracerTest, ChromeTraceExportIsValidTraceEventJson) {
     }
   }
   EXPECT_TRUE(found_propose);
+}
+
+// --- Recorder ---
+
+TEST(RecorderTest, SinksThatAreOffAreNeverBuilt) {
+  const obs::Recorder off(/*tracing=*/false, obs::SpanTracer::kDefaultCapacity,
+                          /*journaling=*/false, /*critpath=*/false);
+  EXPECT_FALSE(off.active());
+  EXPECT_EQ(off.tracer(), nullptr);
+  EXPECT_EQ(off.journal(), nullptr);
+  EXPECT_EQ(off.critpath(), nullptr);
+  const obs::Recorder trace_only(/*tracing=*/true, 16, /*journaling=*/false,
+                                 /*critpath=*/false);
+  EXPECT_TRUE(trace_only.active());
+  EXPECT_NE(trace_only.tracer(), nullptr);
+  EXPECT_EQ(trace_only.journal(), nullptr);
+  EXPECT_EQ(trace_only.critpath(), nullptr);
+}
+
+// One chain (origin -> send -> transit -> deliver -> handler -> commit -> confirm) feeds all
+// three sinks once per record, each linking it with its own numbering.
+TEST(RecorderTest, OneChainLinksEverySink) {
+  obs::Recorder rec(/*tracing=*/true, 64, /*journaling=*/true, /*critpath=*/true);
+  obs::Path sender;
+  rec.Dispatch(0, "start", 0, 0, &sender.cause);
+  rec.Origin(0, 0, 0, &sender.cause);
+  sender.cause = rec.Event(0, obs::JournalKind::kSend, Us(1), sender.cause, 1, 64, "vote");
+  rec.Transit(0, 1, "vote", Us(1), Us(1), Us(2), Us(3), /*nic=*/0, /*holds_nic=*/true,
+              &sender.cause);
+  rec.HandlerEnd(0, sender.cause, Us(1));
+  obs::Path receiver = sender;
+  receiver.cause =
+      rec.Event(1, obs::JournalKind::kDeliver, Us(3), receiver.cause, 0, 64, "vote");
+  rec.Dispatch(1, "vote", Us(3), Us(3), &receiver.cause);
+  rec.Charge(receiver.cause, obs::Component::kCrypto, Us(1));
+  rec.Event(1, obs::JournalKind::kCommit, Us(4), receiver.cause, /*height=*/7);
+  rec.HandlerEnd(1, receiver.cause, Us(4));
+  rec.Confirm(receiver, /*height=*/7, Us(4), /*submit_sum_ns=*/0, /*tx_count=*/1);
+
+  // Journal: send <- deliver <- commit.
+  const std::vector<obs::JournalRecord> records = rec.journal()->Events();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].parent, 0u);
+  EXPECT_EQ(records[1].parent, records[0].seq);
+  EXPECT_EQ(records[2].parent, records[1].seq);
+  // Trace: the receiving span hangs off the sending span; the commit (a control kind) is
+  // an instant inside it, and the flow kinds render nothing.
+  const std::vector<obs::SpanEvent> events = rec.tracer()->Events();
+  ASSERT_EQ(events.size(), 5u);  // begin start, end, begin vote, commit, end.
+  EXPECT_EQ(events[2].kind, obs::SpanEvent::Kind::kBegin);
+  EXPECT_EQ(events[2].parent, events[0].id);
+  EXPECT_EQ(events[3].kind, obs::SpanEvent::Kind::kInstant);
+  EXPECT_STREQ(events[3].name, "commit");
+  EXPECT_EQ(events[3].parent, events[2].id);
+  EXPECT_EQ(events[3].arg, 7u);
+  // Critical path: one complete chain rooted at the origin, 4 us origin -> confirm.
+  const obs::CritSummary s = rec.critpath()->Summarize();
+  EXPECT_EQ(s.commits, 1u);
+  EXPECT_EQ(s.unanchored, 0u);
+  EXPECT_DOUBLE_EQ(s.mean_ms, 0.004);
 }
 
 // --- Path invariant ---
@@ -438,12 +487,12 @@ TEST(ObsClusterTest, TracingIsZeroPerturbation) {
   {
     Cluster cluster(SmallConfig(false));
     off = cluster.RunMeasured(Ms(200), Sec(1));
-    EXPECT_TRUE(cluster.tracer().Events().empty());
+    EXPECT_EQ(cluster.recorder().tracer(), nullptr);  // Off means no span ring at all.
   }
   {
     Cluster cluster(SmallConfig(true));
     on = cluster.RunMeasured(Ms(200), Sec(1));
-    EXPECT_FALSE(cluster.tracer().Events().empty());
+    EXPECT_FALSE(cluster.recorder().tracer()->Events().empty());
   }
   // Bit-identical statistics: recording spans must not change a single simulated outcome.
   EXPECT_EQ(off.throughput_tps, on.throughput_tps);
@@ -465,7 +514,7 @@ TEST(ObsClusterTest, TracingIsZeroPerturbation) {
 TEST(ObsClusterTest, ClusterTraceExportsValidChromeJson) {
   Cluster cluster(SmallConfig(true));
   cluster.RunMeasured(Ms(100), Ms(300));
-  auto doc = obs::ParseJson(cluster.tracer().ExportChromeTrace());
+  auto doc = obs::ParseJson(cluster.recorder().tracer()->ExportChromeTrace());
   ASSERT_TRUE(doc.has_value());
   const obs::JsonValue* events = doc->Get("traceEvents");
   ASSERT_NE(events, nullptr);
