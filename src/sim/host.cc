@@ -27,9 +27,7 @@ void Host::BindProcess(std::unique_ptr<IProcess> process) {
   process_ = std::move(process);
   up_ = true;
   cpu_free_at_ = sim_->Now();
-  if (recorder_ != nullptr) {
-    recorder_->Event(id_, obs::JournalKind::kBoot, sim_->Now(), {}, epoch_);
-  }
+  JournalEvent(obs::JournalKind::kBoot, epoch_);
   if (lifecycle_) {
     lifecycle_(id_, "boot");
   }
@@ -59,9 +57,7 @@ void Host::Crash() {
     sim_->Cancel(timer.event);
   }
   timers_.clear();
-  if (recorder_ != nullptr) {
-    recorder_->Event(id_, obs::JournalKind::kCrash, sim_->Now(), {}, epoch_);
-  }
+  JournalEvent(obs::JournalKind::kCrash, epoch_);
   if (lifecycle_) {
     lifecycle_(id_, "crash");
   }
@@ -74,10 +70,7 @@ void Host::InjectStall(SimDuration d) {
   }
   // A stall is just a handler that burns CPU: everything queued behind it (and any arrival
   // during the stall) waits it out, exactly like a long GC pause would behave.
-  if (recorder_ != nullptr) {
-    recorder_->Event(id_, obs::JournalKind::kStall, sim_->Now(), {},
-                     static_cast<uint64_t>(d));
-  }
+  JournalEvent(obs::JournalKind::kStall, static_cast<uint64_t>(d));
   Work work;
   work.kind = WorkKind::kStall;
   work.stall = d;

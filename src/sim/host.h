@@ -105,8 +105,9 @@ class Host {
   // memory-only and never perturbs virtual time.
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
   obs::Recorder* recorder() const { return recorder_; }
-  // Causal parent for records made now: the running handler's context.
-  const obs::Cause& cause() const { return cur_path_.cause; }
+  // Causal parent for records made now: the running handler's context, or none outside a
+  // handler (setup, lifecycle and fault events start their own chains).
+  obs::Cause cause() const { return in_handler_ ? cur_path_.cause : obs::Cause(); }
   // Records a journal-kind event on this host's track at LocalNow() under cause().
   void JournalEvent(obs::JournalKind kind, uint64_t a = 0, uint64_t b = 0,
                     std::string_view detail = {});

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "src/chaos/runner.h"
+#include "src/harness/cluster.h"
+#include "src/harness/fault_script.h"
 #include "src/obs/forensics.h"
 #include "src/obs/journal.h"
 #include "src/obs/recorder.h"
@@ -169,6 +171,55 @@ TEST(ForensicsTest, RollbackRejectClearsStaleSeal) {
   query.node = 1;
   const obs::IncidentReport report = obs::AnalyzeIncident(journal, query);
   EXPECT_TRUE(report.first_violated.empty()) << report.first_violated;
+}
+
+// --- Causality across a crash ---
+
+// Records made outside a handler (the reboot-time checkpoint-certificate unseal, crash-fate
+// truncation) have no cause, so nothing recorded on a node after its crash points back
+// across that crash.
+TEST(JournalCausalityTest, RebootRecordsDoNotPointAcrossTheCrash) {
+  ClusterConfig config;
+  config.protocol = Protocol::kAchilles;
+  config.f = 1;
+  config.batch_size = 50;
+  config.payload_size = 64;
+  config.base_timeout = Ms(100);
+  config.ckpt.enabled = true;
+  config.ckpt.interval = 8;
+  config.journaling = true;
+  Cluster cluster(config);
+  FaultScript script;
+  script.events.push_back(FaultEvent{Ms(300), FaultKind::kCrash, 1, 0, 0});
+  script.events.push_back(FaultEvent{Ms(400), FaultKind::kReboot, 1, 0, 0});
+  cluster.InstallFaultScript(script);
+  cluster.Start();
+  cluster.sim().RunFor(Ms(700));
+
+  const std::vector<JournalRecord> events = cluster.recorder().journal()->NodeEvents(1);
+  uint64_t crash_seq = 0;
+  for (const JournalRecord& r : events) {
+    if (r.kind == JournalKind::kCrash) {
+      crash_seq = r.seq;
+    }
+  }
+  ASSERT_NE(crash_seq, 0u);
+  const JournalRecord* unseal = nullptr;
+  for (const JournalRecord& r : events) {
+    if (r.seq < crash_seq) {
+      continue;
+    }
+    if (unseal == nullptr && r.kind == JournalKind::kUnseal) {
+      unseal = &r;
+    }
+    // Deliver records point at a send on the peer; everything else on this node hangs off
+    // a post-crash deliver or is a root.
+    if (r.kind != JournalKind::kDeliver && r.parent != 0) {
+      EXPECT_GT(r.parent, crash_seq) << r.ToLine();
+    }
+  }
+  ASSERT_NE(unseal, nullptr);
+  EXPECT_EQ(unseal->parent, 0u) << unseal->ToLine();
 }
 
 // --- End-to-end: chaos runs with the journal on ---
