@@ -186,10 +186,8 @@ class ReplicaBase : public IProcess {
   // chain that flows out of the proposal (src/obs/breakdown.h). Protocols call this once
   // per block they create, right after Block::Create.
   void MarkProposed(const BlockPtr& block);
-  // Records a journal-kind event on this replica's host track (Host::JournalEvent): the
-  // flight recorder keeps it and the span trace shows control kinds as instants. Zero
-  // virtual-time cost. Protocols call this at every state transition (view/epoch/term
-  // change, leader change, lock update, recovery phase).
+  // Records a journal-kind event on this replica's host (Host::JournalEvent). Protocols
+  // call this at every state transition (view/epoch/term change, leader, lock, recovery).
   void JournalEvent(obs::JournalKind kind, uint64_t a = 0, uint64_t b = 0,
                     std::string_view detail = {});
   // Compact block identity for journal payloads: the hash's first 8 bytes, big-endian.

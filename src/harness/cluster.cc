@@ -338,15 +338,12 @@ RunStats Cluster::RunMeasured(SimDuration warmup, SimDuration measure) {
   RefreshFootprintGauges();
 
   // Observability truncation gauges: how much the span ring and flight recorder dropped.
-  // Always exported so trend guards can watch them even on runs with tracing off.
+  // Always exported (zero when the sink is off) so trend guards can watch them.
   const obs::SpanTracer* tracer = recorder_.tracer();
   const obs::Journal* journal = recorder_.journal();
-  metrics_.GetGauge("trace.dropped_spans")
-      ->Set(tracer != nullptr ? static_cast<double>(tracer->dropped()) : 0.0);
-  metrics_.GetGauge("journal.events_recorded")
-      ->Set(journal != nullptr ? static_cast<double>(journal->recorded()) : 0.0);
-  metrics_.GetGauge("journal.events_evicted")
-      ->Set(journal != nullptr ? static_cast<double>(journal->evicted()) : 0.0);
+  metrics_.GetGauge("trace.dropped_spans")->Set(tracer ? tracer->dropped() : 0);
+  metrics_.GetGauge("journal.events_recorded")->Set(journal ? journal->recorded() : 0);
+  metrics_.GetGauge("journal.events_evicted")->Set(journal ? journal->evicted() : 0);
 
   RunStats stats;
   stats.throughput_tps = tracker_.ThroughputTps();

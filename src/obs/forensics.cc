@@ -9,12 +9,6 @@ namespace achilles {
 namespace obs {
 namespace {
 
-bool IsProtocolProgress(JournalKind kind) {
-  return kind == JournalKind::kViewEnter || kind == JournalKind::kPropose ||
-         kind == JournalKind::kCommit || kind == JournalKind::kCheckpoint ||
-         kind == JournalKind::kRecoveryExit;
-}
-
 // A stale unseal: storage served an older version than the latest one it holds.
 bool IsStaleUnseal(const JournalRecord& r) {
   return r.kind == JournalKind::kUnseal && r.a != 0 && r.a < r.b;

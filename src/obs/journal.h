@@ -1,20 +1,20 @@
-// Deterministic flight recorder. A Journal is a bounded per-node ring of structured
-// protocol/TEE/lifecycle/network events, recorded from hooks in src/sim, src/tee,
-// src/consensus and the protocol modules. Recording is plain-memory bookkeeping with zero
-// virtual-time cost, so enabling the journal changes no simulated outcome — the same
-// guarantee the span tracer gives (src/obs/trace.h), and the property the chaos harness's
+// Deterministic flight recorder: a bounded per-node ring of structured
+// protocol/TEE/lifecycle/network events, one sink of the obs::Recorder stream
+// (src/obs/recorder.h). Recording is plain-memory bookkeeping with zero virtual-time cost,
+// so enabling the journal changes no simulated outcome — the property the chaos harness's
 // bit-identical replay check relies on.
 //
-// Causality: every network send gets a journal sequence number which rides along the
-// message's obs::Path (Path::jparent); the matching deliver event records that number as
-// its parent, and everything the receiving handler records points at the deliver event.
-// Walking parent links therefore reconstructs the cross-host causal chain that led to any
-// recorded event — the spine of the forensics analyzer (src/obs/forensics.h).
+// Causality: every send's seq rides the message's obs::Path (inside its obs::Cause); the
+// matching deliver records it as its parent, and everything the receiving handler records
+// points at the deliver. Records made outside a handler are chain roots (parent 0).
+// Walking parent links reconstructs the cross-host causal chain that led to any record —
+// the spine of the forensics analyzer (src/obs/forensics.h).
 //
-// Bounded memory: each node keeps two rings. High-rate "flow" events (send/deliver/ecall,
-// wal-append/fsync) evict independently from the rare "control" events (view changes, commits, recovery
-// phases, seal/unseal, counter ops, lifecycle), so a long run can drop old traffic without
-// losing the state-transition history forensics needs.
+// Bounded memory: each node keeps two rings. High-rate "flow" kinds
+// (send/deliver/ecall/wal-append/fsync/lease-serve) evict independently from the rare
+// "control" kinds (view changes, commits, recovery phases, seal/unseal, counter ops,
+// lifecycle), so a long run drops old traffic but keeps the state-transition history
+// forensics needs. The span trace renders the control kinds as instants.
 #ifndef SRC_OBS_JOURNAL_H_
 #define SRC_OBS_JOURNAL_H_
 
@@ -75,10 +75,11 @@ inline constexpr size_t kNumJournalKinds =
     static_cast<size_t>(JournalKind::kOracleViolation) + 1;
 
 // Stable display name ("view-enter", "rollback-reject", ...). Static storage, so the
-// strings are also usable as SpanTracer instant names.
+// strings double as the span trace's instant names.
 const char* JournalKindName(JournalKind kind);
 
-// True for the high-rate kinds kept in the flow ring (send/deliver/ecall/wal-append/fsync).
+// True for the high-rate kinds kept in the flow ring
+// (send/deliver/ecall/wal-append/fsync/lease-serve); the span trace skips them.
 bool JournalKindIsFlow(JournalKind kind);
 
 struct JournalRecord {

@@ -14,7 +14,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/common/sim_time.h"
 #include "src/obs/breakdown.h"
 #include "src/obs/critpath.h"
 #include "src/obs/journal.h"
@@ -25,11 +24,11 @@ namespace obs {
 
 class Recorder {
  public:
-  // `trace_capacity` sizes the span ring when `tracing` is on.
+  // Builds the sinks that are on; `trace_capacity` sizes the span ring.
   Recorder(bool tracing, size_t trace_capacity, bool journaling, bool critpath);
 
+  // Whether any sink is on, and the sinks (null when off).
   bool active() const { return tracer_ || journal_ || critpath_; }
-  // The sinks; null when off.
   SpanTracer* tracer() const { return tracer_.get(); }
   Journal* journal() const { return journal_.get(); }
   CritPathCollector* critpath() const { return critpath_.get(); }

@@ -1,4 +1,5 @@
-// Virtual-time span tracer. Records begin/end/instant events with parent links into a
+// Virtual-time span tracer: the span-trace sink of the obs::Recorder stream
+// (src/obs/recorder.h). Records begin/end/instant events with parent links into a
 // preallocated ring buffer (no allocation, no virtual-time cost on the hot path), and
 // exports Chrome trace_event JSON that Perfetto / chrome://tracing open directly.
 //
