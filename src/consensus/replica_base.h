@@ -192,7 +192,7 @@ class ReplicaBase : public IProcess {
                     std::string_view detail = {});
   // Compact block identity for journal payloads: the hash's first 8 bytes, big-endian.
   static uint64_t JournalHash(const Hash256& hash);
-  // Critical-path quorum bookkeeping (src/obs/critpath.h via the host's recorder). CritNote marks the running
+  // Critical-path quorum bookkeeping (src/obs/critpath.h). CritNote marks the running
   // handler as carrying one input of quorum instance (`tag`, `instance`) — call it right
   // after adding a vote to a quorum set. CritJoin attaches every noted input to the
   // running handler — call it where the quorum check passes, so the what-if engine knows

@@ -49,9 +49,9 @@ SimTime Network::Send(uint32_t from, uint32_t to, MessageRef msg) {
   // Attribution: the sender's causal chain rides along with the delivery, extended by the
   // wire-level components computed below.
   obs::Path path = hosts_[from]->SendPath();
-  // Into the sender's record stream: one send record under the sender's handler context
-  // (the path carries it on so the receiver's deliver record points back at it), then
-  // the transit (NIC wait/serialization + propagation) on the delivered path.
+  // Record stream: one send record under the sender's handler context (the path carries it
+  // on, so the receiver's deliver record points back at it), then one transit (NIC
+  // wait/serialization + propagation) per delivery.
   obs::Recorder* recorder = hosts_[from]->recorder();
   if (recorder != nullptr) {
     path.cause = recorder->Event(from, obs::JournalKind::kSend, departure, path.cause, to,
