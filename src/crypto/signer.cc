@@ -1,5 +1,8 @@
 #include "src/crypto/signer.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "src/common/check.h"
 #include "src/crypto/hmac.h"
 
@@ -8,8 +11,27 @@ namespace achilles {
 namespace {
 constexpr size_t kHmacTagSize = 32;
 // The fast mode models a 64-byte ECDSA signature on the wire; the tag itself is 32 bytes, so
-// we pad with the signer-bound derivation to keep encoded size honest.
+// we pad with zeros to keep encoded size honest.
 constexpr size_t kModeledSigSize = 64;
+
+// FNV-1a over 64-bit words (byte-wise for the tail): picks a memo slot. Not a security
+// boundary — a hit still compares every byte.
+uint64_t MemoHash(uint32_t signer, ByteView msg, ByteView blob) {
+  constexpr uint64_t kPrime = 0x100000001b3ULL;
+  uint64_t h = 0xcbf29ce484222325ULL ^ signer;
+  for (ByteView part : {msg, blob}) {
+    size_t i = 0;
+    for (; i + 8 <= part.size(); i += 8) {
+      uint64_t word;
+      std::memcpy(&word, part.data() + i, 8);
+      h = (h ^ word) * kPrime;
+    }
+    for (; i < part.size(); ++i) {
+      h = (h ^ part[i]) * kPrime;
+    }
+  }
+  return h ^ (h >> 32);
+}
 }  // namespace
 
 CryptoSuite::CryptoSuite(SignatureScheme scheme, uint32_t num_parties, uint64_t seed)
@@ -60,6 +82,32 @@ Signature CryptoSuite::Sign(uint32_t signer, ByteView msg) const {
 }
 
 bool CryptoSuite::Verify(const Signature& sig, ByteView msg) const {
+  const ByteView blob(sig.blob.data(), sig.blob.size());
+  if (msg.size() > kMemoMaxMsg || blob.empty() || blob.size() > kMemoMaxBlob) {
+    return VerifyFull(sig, msg);
+  }
+  if (memo_.empty()) {
+    memo_.resize(kMemoSlots);
+  }
+  MemoEntry& slot = memo_[MemoHash(sig.signer, msg, blob) % kMemoSlots];
+  if (slot.signer == sig.signer && slot.msg_len == msg.size() &&
+      slot.blob_len == blob.size() && std::equal(msg.begin(), msg.end(), slot.msg.begin()) &&
+      std::equal(blob.begin(), blob.end(), slot.blob.begin())) {
+    ++memo_hits_;
+    return true;
+  }
+  if (!VerifyFull(sig, msg)) {
+    return false;
+  }
+  slot.signer = sig.signer;
+  slot.msg_len = static_cast<uint16_t>(msg.size());
+  slot.blob_len = static_cast<uint16_t>(blob.size());
+  std::copy(msg.begin(), msg.end(), slot.msg.begin());
+  std::copy(blob.begin(), blob.end(), slot.blob.begin());
+  return true;
+}
+
+bool CryptoSuite::VerifyFull(const Signature& sig, ByteView msg) const {
   if (sig.signer >= num_parties_) {
     return false;
   }
@@ -67,8 +115,10 @@ bool CryptoSuite::Verify(const Signature& sig, ByteView msg) const {
     return SchnorrVerify(schnorr_keys_[sig.signer].pub, msg,
                          ByteView(sig.blob.data(), sig.blob.size()));
   }
-  if (sig.blob.size() != kModeledSigSize) {
-    return false;
+  if (sig.blob.size() != kModeledSigSize ||
+      std::any_of(sig.blob.begin() + kHmacTagSize, sig.blob.end(),
+                  [](uint8_t b) { return b != 0; })) {
+    return false;  // Only the zero-padded encoding Sign produces is canonical.
   }
   const Hash256 tag = hmac_scheds_[sig.signer].Mac(msg);
   return ConstantTimeEqual(ByteView(sig.blob.data(), kHmacTagSize),

@@ -225,6 +225,47 @@ TEST_F(CheckerFixture, CommitPathRejectsBadQuorum) {
   EXPECT_FALSE(checkers_[2]->TeePrepare(*b2, commit).has_value());
 }
 
+// The suite memoizes verified tuples; once the commit cert's signatures are memoized, a
+// tampered cert must still fail QuorumCert::Verify and the original must still pass.
+TEST_F(CheckerFixture, TamperedCommitCertFailsAgainstWarmMemo) {
+  auto certs = EnterView(1);
+  auto acc = checkers_[1]->TeeAccum(certs);
+  const BlockPtr b = MakeChild(Block::Genesis(), 1);
+  auto prop = checkers_[1]->TeePrepare(*b, *acc);
+  QuorumCert commit;
+  commit.hash = b->hash;
+  commit.view = 1;
+  for (uint32_t i = 0; i < kF + 1; ++i) {
+    auto store = checkers_[i]->TeeStore(*prop);
+    ASSERT_TRUE(store.has_value());
+    commit.sigs.push_back(store->sig);
+  }
+  const size_t quorum = kF + 1;
+  ASSERT_TRUE(commit.Verify(suite_, kAchCommit, quorum));
+  const uint64_t warm = suite_.memo_hits();
+  ASSERT_TRUE(commit.Verify(suite_, kAchCommit, quorum));
+  ASSERT_EQ(suite_.memo_hits(), warm + quorum);  // Every signature came from the memo.
+
+  QuorumCert flipped = commit;
+  flipped.sigs[1].blob[0] ^= 0x01;
+  EXPECT_FALSE(flipped.Verify(suite_, kAchCommit, quorum));
+
+  QuorumCert reattributed = commit;
+  reattributed.sigs[0].signer = kN - 1;  // A replica that did not store the block.
+  EXPECT_FALSE(reattributed.Verify(suite_, kAchCommit, quorum));
+
+  QuorumCert other_view = commit;
+  other_view.view = 2;  // Same signatures, another view.
+  EXPECT_FALSE(other_view.Verify(suite_, kAchCommit, quorum));
+  EXPECT_FALSE(commit.Verify(suite_, kAchProp, quorum));  // Another domain.
+
+  QuorumCert dup = commit;
+  dup.sigs[2] = dup.sigs[0];
+  EXPECT_FALSE(dup.Verify(suite_, kAchCommit, quorum));
+
+  EXPECT_TRUE(commit.Verify(suite_, kAchCommit, quorum));
+}
+
 // --- Recovery (Algorithm 3) ---
 
 class RecoveryFixture : public CheckerFixture {

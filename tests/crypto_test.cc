@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/schnorr.h"
@@ -354,9 +358,119 @@ TEST_P(CryptoSuiteTest, SignatureWireSizeIsStable) {
   EXPECT_EQ(a.WireSize(), b.WireSize());
 }
 
+TEST_P(CryptoSuiteTest, RejectsNonCanonicalPadding) {
+  // Byte 40 is modelled-ECDSA padding under kFastHmac and part of s under kSchnorr; either
+  // way a flipped byte is a different signature and must fail, cold and with the original
+  // memoized.
+  CryptoSuite suite(GetParam(), 3, 9);
+  const Signature sig = suite.Sign(1, AsBytes("m"));
+  Signature padded = sig;
+  padded.blob[40] ^= 0x01;
+  EXPECT_FALSE(suite.Verify(padded, AsBytes("m")));
+  EXPECT_TRUE(suite.Verify(sig, AsBytes("m")));
+  EXPECT_FALSE(suite.Verify(padded, AsBytes("m")));
+  EXPECT_TRUE(suite.Verify(sig, AsBytes("m")));
+}
+
+// A valid quorum is verified first so every tuple in it is memoized; each tampered variant
+// must then still fail, and the original must still pass afterwards.
+TEST_P(CryptoSuiteTest, TamperedQuorumFailsAgainstWarmMemo) {
+  CryptoSuite suite(GetParam(), 5, 77);
+  const std::string msg_str = "achilles/COMMIT|h|v=3";
+  const std::string other_str = "achilles/COMMIT|h|v=4";
+  const ByteView msg = AsBytes(msg_str);
+  const ByteView other = AsBytes(other_str);
+  std::vector<Signature> sigs;
+  for (uint32_t i = 0; i < 3; ++i) {
+    sigs.push_back(suite.Sign(i, msg));
+  }
+  // Warm the memo. The Schnorr quorum path batch-verifies without it, so also verify each
+  // signature on its own.
+  ASSERT_TRUE(suite.VerifyQuorum(sigs, msg, 3));
+  for (const Signature& sig : sigs) {
+    ASSERT_TRUE(suite.Verify(sig, msg));
+  }
+  const uint64_t warm = suite.memo_hits();
+  ASSERT_TRUE(suite.Verify(sigs[0], msg));
+  ASSERT_EQ(suite.memo_hits(), warm + 1);  // The memo really holds the originals.
+
+  std::vector<Signature> flipped = sigs;
+  flipped[1].blob[0] ^= 0x80;  // One tag byte.
+  EXPECT_FALSE(suite.Verify(flipped[1], msg));
+  EXPECT_FALSE(suite.VerifyQuorum(flipped, msg, 3));
+
+  std::vector<Signature> reattributed = sigs;
+  reattributed[0].signer = 3;  // A party that signed nothing.
+  EXPECT_FALSE(suite.Verify(reattributed[0], msg));
+  EXPECT_FALSE(suite.VerifyQuorum(reattributed, msg, 3));
+  std::vector<Signature> swapped = sigs;
+  std::swap(swapped[0].signer, swapped[1].signer);  // Two real signers, blobs exchanged.
+  EXPECT_FALSE(suite.Verify(swapped[0], msg));
+  EXPECT_FALSE(suite.VerifyQuorum(swapped, msg, 3));
+
+  EXPECT_FALSE(suite.Verify(sigs[0], other));  // Same signatures, other view.
+  EXPECT_FALSE(suite.VerifyQuorum(sigs, other, 3));
+
+  std::vector<Signature> dup = sigs;
+  dup[2] = dup[0];  // Every tuple is memoized, but a signer may count once.
+  EXPECT_FALSE(suite.VerifyQuorum(dup, msg, 3));
+
+  const uint64_t before = suite.memo_hits();
+  EXPECT_TRUE(suite.VerifyQuorum(sigs, msg, 3));
+  for (const Signature& sig : sigs) {
+    EXPECT_TRUE(suite.Verify(sig, msg));
+  }
+  EXPECT_GE(suite.memo_hits(), before + sigs.size());  // Failures evicted nothing.
+}
+
+TEST_P(CryptoSuiteTest, MessagesLongerThanASlotTakeTheFullCheck) {
+  CryptoSuite suite(GetParam(), 2, 3);
+  const Bytes msg(CryptoSuite::kMemoMaxMsg + 1, 0x5a);
+  const ByteView view(msg.data(), msg.size());
+  const Signature sig = suite.Sign(0, view);
+  EXPECT_TRUE(suite.Verify(sig, view));
+  EXPECT_TRUE(suite.Verify(sig, view));
+  EXPECT_EQ(suite.memo_hits(), 0u);
+  Signature bad = sig;
+  bad.blob[3] ^= 0x01;
+  EXPECT_FALSE(suite.Verify(bad, view));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, CryptoSuiteTest,
                          ::testing::Values(SignatureScheme::kSchnorr,
                                            SignatureScheme::kFastHmac));
+
+// The memo holds kMemoSlots tuples. After several times that many distinct valid tuples
+// the first one has been evicted: it must still pass (via the full check), and a tampered
+// copy must still fail. The bound never changes a decision. kFastHmac only: the memo is
+// scheme-agnostic, and thousands of Schnorr signatures would dominate the suite's runtime.
+TEST(CryptoSuiteMemoTest, EvictedTupleStillVerifiesAndTamperStillFails) {
+  CryptoSuite suite(SignatureScheme::kFastHmac, 4, 21);
+  auto message = [](uint32_t i) {
+    Bytes m(12, 0);
+    for (int b = 0; b < 4; ++b) {
+      m[static_cast<size_t>(b)] = static_cast<uint8_t>(i >> (8 * b));
+    }
+    return m;
+  };
+  const Bytes first_msg = message(0);
+  const ByteView first_view(first_msg.data(), first_msg.size());
+  const Signature first = suite.Sign(2, first_view);
+  ASSERT_TRUE(suite.Verify(first, first_view));
+  for (uint32_t i = 1; i < 4 * CryptoSuite::kMemoSlots; ++i) {
+    const Bytes m = message(i);
+    const ByteView v(m.data(), m.size());
+    ASSERT_TRUE(suite.Verify(suite.Sign(i % 4, v), v));
+  }
+  const uint64_t hits = suite.memo_hits();
+  EXPECT_TRUE(suite.Verify(first, first_view));
+  EXPECT_EQ(suite.memo_hits(), hits);  // Evicted: answered by the full check.
+  Signature tampered = first;
+  tampered.blob[7] ^= 0x10;
+  EXPECT_FALSE(suite.Verify(tampered, first_view));
+  EXPECT_TRUE(suite.Verify(first, first_view));
+  EXPECT_EQ(suite.memo_hits(), hits + 1);  // Re-memoized by the full check above.
+}
 
 // --- Hardware SHA-256 vs portable differential ---
 
