@@ -10,6 +10,7 @@
 #include <cstring>
 #include <deque>
 
+#include "bench/heap_queue.h"
 #include "src/consensus/mempool.h"
 #include "src/harness/bench_report.h"
 #include "src/harness/experiment.h"

@@ -33,7 +33,6 @@ EventNode* EventPool::Alloc() {
   n->prev = nullptr;
   n->next = nullptr;
   n->bucket = 0;
-  n->cancelled = false;
   n->raw = nullptr;
   n->obj = nullptr;
   n->a = 0;
@@ -52,61 +51,6 @@ void EventPool::Free(EventNode* n) {
   n->next = free_;
   free_ = n;
   --live_;
-}
-
-// --- HeapQueue ---
-
-void HeapQueue::Push(EventNode* n) {
-  heap_.push_back(n);
-  size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const size_t parent = (i - 1) / 2;
-    if (!Earlier(heap_[i], heap_[parent])) {
-      break;
-    }
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void HeapQueue::PopRoot() {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  size_t i = 0;
-  const size_t n = heap_.size();
-  while (true) {
-    const size_t left = 2 * i + 1;
-    const size_t right = left + 1;
-    size_t best = i;
-    if (left < n && Earlier(heap_[left], heap_[best])) {
-      best = left;
-    }
-    if (right < n && Earlier(heap_[right], heap_[best])) {
-      best = right;
-    }
-    if (best == i) {
-      break;
-    }
-    std::swap(heap_[i], heap_[best]);
-    i = best;
-  }
-}
-
-EventNode* HeapQueue::PeekEarliest(EventPool& pool) {
-  while (!heap_.empty() && heap_.front()->cancelled) {
-    EventNode* dead = heap_.front();
-    PopRoot();
-    pool.Free(dead);
-  }
-  return heap_.empty() ? nullptr : heap_.front();
-}
-
-EventNode* HeapQueue::PopEarliest(EventPool& pool) {
-  EventNode* n = PeekEarliest(pool);
-  if (n != nullptr) {
-    PopRoot();
-  }
-  return n;
 }
 
 // --- CalendarQueue ---

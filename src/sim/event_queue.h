@@ -2,21 +2,14 @@
 //
 // Events are slab-pooled, intrusively-linked EventNodes; the queue engines order them
 // strictly by (time, seq) — seq is the global schedule order, so equal-time events pop
-// FIFO. Two engines implement the same compile-time interface:
+// FIFO. The engine is CalendarQueue (Brown 1988): an adaptive ring of "day" buckets, each
+// a sorted intrusive list. Schedule and pop are O(1) amortized; cancel unlinks in O(1) via
+// the node pointer. Bucket count and width adapt to the live event population.
 //
-//   CalendarQueue the production engine (Brown 1988): an adaptive ring of "day" buckets,
-//                 each a sorted intrusive list. Schedule and pop are O(1) amortized;
-//                 cancel unlinks in O(1) via the node pointer. Bucket count and width
-//                 adapt to the live event population.
-//   HeapQueue     the reference engine: a binary heap of node pointers with lazy
-//                 cancellation (a cancelled node stays in the heap, marked, and is
-//                 reclaimed when it surfaces). Simple and obviously correct; it exists
-//                 only as the oracle that tests/sim_queue_test.cc fuzzes CalendarQueue
-//                 against and as bench_sim_core's head-to-head baseline.
-//
-// Determinism contract: both engines dequeue in exactly (time, seq) order. The
-// differential fuzz enforces that; the golden-digest table in
-// tests/sim_determinism_test.cc pins the resulting event-log/journal/KV-history digests.
+// Determinism contract: the engine dequeues in exactly (time, seq) order.
+// tests/sim_queue_test.cc fuzzes it against a reference binary heap (bench/heap_queue.h);
+// the golden-digest table in tests/sim_determinism_test.cc pins the resulting
+// event-log/journal/KV-history digests.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -45,7 +38,6 @@ struct EventNode {
   EventNode* prev = nullptr;
   EventNode* next = nullptr;
   uint32_t bucket = 0;      // Calendar bucket index (valid while linked).
-  bool cancelled = false;   // Heap engine's lazy-removal marker.
   // Tagged callback: `raw` when set, else `*boxed` (generic std::function fallback).
   RawEventFn raw = nullptr;
   void* obj = nullptr;
@@ -80,30 +72,6 @@ class EventPool {
   EventNode* free_ = nullptr;
   size_t live_ = 0;
   size_t high_water_ = 0;
-};
-
-// Reference engine: binary heap ordered by (time, seq), lazy cancellation.
-class HeapQueue {
- public:
-  void Push(EventNode* n);
-  // Earliest live node, or nullptr when empty. Reclaims cancelled nodes that surface.
-  EventNode* PeekEarliest(EventPool& pool);
-  EventNode* PopEarliest(EventPool& pool);
-  // O(1) logical removal: the node is marked and reclaimed when it reaches the top. The
-  // generation bump invalidates outstanding handles immediately — matching the calendar
-  // engine, which frees on Remove — so double-cancel is a no-op on both engines.
-  void Remove(EventNode* n, EventPool&) {
-    n->cancelled = true;
-    ++n->gen;
-  }
-
- private:
-  static bool Earlier(const EventNode* x, const EventNode* y) {
-    return x->time != y->time ? x->time < y->time : x->seq < y->seq;
-  }
-  void PopRoot();
-
-  std::vector<EventNode*> heap_;
 };
 
 // Hot-path engine: adaptive calendar queue. Buckets partition virtual time into "days"

@@ -3,9 +3,8 @@
 namespace achilles {
 
 // The simulation core is a header template (the queue engine is a compile-time
-// parameter); instantiate both engines once here so every other translation unit links
-// against these.
-template class SimulationT<HeapQueue>;
+// parameter); instantiate the production engine once here so every other translation
+// unit links against it.
 template class SimulationT<CalendarQueue>;
 
 }  // namespace achilles

@@ -2,9 +2,8 @@
 // randomness flows from the simulation seed, so runs are exactly reproducible.
 //
 // The queue engine is a template parameter (src/sim/event_queue.h). The production alias
-// `Simulation` runs on the calendar queue; SimulationT<HeapQueue> exists only so the
-// reference heap engine can race it in tests/sim_queue_test.cc's differential fuzz and in
-// bench_sim_core.
+// `Simulation` runs on the calendar queue; the reference heap engine (bench/heap_queue.h)
+// races it in tests/sim_queue_test.cc's differential fuzz and in bench_sim_core.
 //
 // Events come in two shapes (DESIGN.md §2.21):
 //   raw    a function pointer plus (obj, a, b) — the dominant fixed-shape events
@@ -174,7 +173,6 @@ class SimulationT {
   Rng rng_;
 };
 
-extern template class SimulationT<HeapQueue>;
 extern template class SimulationT<CalendarQueue>;
 
 // The production simulation.

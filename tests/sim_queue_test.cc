@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/heap_queue.h"
 #include "src/common/rng.h"
 #include "src/sim/simulation.h"
 
