@@ -14,21 +14,23 @@ constexpr size_t kHmacTagSize = 32;
 // we pad with zeros to keep encoded size honest.
 constexpr size_t kModeledSigSize = 64;
 
-// FNV-1a over 64-bit words (byte-wise for the tail): picks a memo slot. Not a security
-// boundary — a hit still compares every byte.
-uint64_t MemoHash(uint32_t signer, ByteView msg, ByteView blob) {
+// Picks a memo slot: FNV-1a over the signer, the message length and the blob's first 16
+// bytes (64-bit words; byte-wise for a shorter blob). A valid blob starts with a MAC tag or
+// a Schnorr nonce point, so those bytes are already uniform. Not a security boundary: a
+// hit still compares every byte, so any collision only costs a full check.
+uint64_t MemoHash(uint32_t signer, size_t msg_len, ByteView blob) {
   constexpr uint64_t kPrime = 0x100000001b3ULL;
-  uint64_t h = 0xcbf29ce484222325ULL ^ signer;
-  for (ByteView part : {msg, blob}) {
-    size_t i = 0;
-    for (; i + 8 <= part.size(); i += 8) {
-      uint64_t word;
-      std::memcpy(&word, part.data() + i, 8);
-      h = (h ^ word) * kPrime;
-    }
-    for (; i < part.size(); ++i) {
-      h = (h ^ part[i]) * kPrime;
-    }
+  uint64_t h = (0xcbf29ce484222325ULL ^ signer) * kPrime;
+  h = (h ^ msg_len) * kPrime;
+  const ByteView head = blob.first(std::min<size_t>(blob.size(), 16));
+  size_t i = 0;
+  for (; i + 8 <= head.size(); i += 8) {
+    uint64_t word;
+    std::memcpy(&word, head.data() + i, 8);
+    h = (h ^ word) * kPrime;
+  }
+  for (; i < head.size(); ++i) {
+    h = (h ^ head[i]) * kPrime;
   }
   return h ^ (h >> 32);
 }
@@ -89,7 +91,7 @@ bool CryptoSuite::Verify(const Signature& sig, ByteView msg) const {
   if (memo_.empty()) {
     memo_.resize(kMemoSlots);
   }
-  MemoEntry& slot = memo_[MemoHash(sig.signer, msg, blob) % kMemoSlots];
+  MemoEntry& slot = memo_[MemoHash(sig.signer, msg.size(), blob) % kMemoSlots];
   if (slot.signer == sig.signer && slot.msg_len == msg.size() &&
       slot.blob_len == blob.size() && std::equal(msg.begin(), msg.end(), slot.msg.begin()) &&
       std::equal(blob.begin(), blob.end(), slot.blob.begin())) {
