@@ -14,23 +14,20 @@ constexpr size_t kHmacTagSize = 32;
 // we pad with zeros to keep encoded size honest.
 constexpr size_t kModeledSigSize = 64;
 
-// Picks a memo slot: FNV-1a over the signer, the message length and the blob's first 16
-// bytes (64-bit words; byte-wise for a shorter blob). A valid blob starts with a MAC tag or
-// a Schnorr nonce point, so those bytes are already uniform. Not a security boundary: a
-// hit still compares every byte, so any collision only costs a full check.
-uint64_t MemoHash(uint32_t signer, size_t msg_len, ByteView blob) {
+// The memo hashes this many leading blob bytes; every valid blob is longer.
+constexpr size_t kMemoHashedBlob = 16;
+
+// Picks a memo slot: FNV-1a over the signer, the message length and the blob's first two
+// words. A valid blob starts with a MAC tag or a Schnorr nonce point, so those bytes are
+// already uniform. Not a security boundary: a hit still compares every byte, so any
+// collision only costs a full check.
+uint64_t MemoHash(uint32_t signer, size_t msg_len, const uint8_t* blob) {
   constexpr uint64_t kPrime = 0x100000001b3ULL;
-  uint64_t h = (0xcbf29ce484222325ULL ^ signer) * kPrime;
-  h = (h ^ msg_len) * kPrime;
-  const ByteView head = blob.first(std::min<size_t>(blob.size(), 16));
-  size_t i = 0;
-  for (; i + 8 <= head.size(); i += 8) {
-    uint64_t word;
-    std::memcpy(&word, head.data() + i, 8);
+  uint64_t head[kMemoHashedBlob / 8];
+  std::memcpy(head, blob, kMemoHashedBlob);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint64_t word : {uint64_t{signer}, uint64_t{msg_len}, head[0], head[1]}) {
     h = (h ^ word) * kPrime;
-  }
-  for (; i < head.size(); ++i) {
-    h = (h ^ head[i]) * kPrime;
   }
   return h ^ (h >> 32);
 }
@@ -85,13 +82,13 @@ Signature CryptoSuite::Sign(uint32_t signer, ByteView msg) const {
 
 bool CryptoSuite::Verify(const Signature& sig, ByteView msg) const {
   const ByteView blob(sig.blob.data(), sig.blob.size());
-  if (msg.size() > kMemoMaxMsg || blob.empty() || blob.size() > kMemoMaxBlob) {
+  if (msg.size() > kMemoMaxMsg || blob.size() < kMemoHashedBlob || blob.size() > kMemoMaxBlob) {
     return VerifyFull(sig, msg);
   }
   if (memo_.empty()) {
     memo_.resize(kMemoSlots);
   }
-  MemoEntry& slot = memo_[MemoHash(sig.signer, msg.size(), blob) % kMemoSlots];
+  MemoEntry& slot = memo_[MemoHash(sig.signer, msg.size(), blob.data()) % kMemoSlots];
   if (slot.signer == sig.signer && slot.msg_len == msg.size() &&
       slot.blob_len == blob.size() && std::equal(msg.begin(), msg.end(), slot.msg.begin()) &&
       std::equal(blob.begin(), blob.end(), slot.blob.begin())) {

@@ -74,7 +74,7 @@ class CryptoSuite {
   struct MemoEntry {
     uint32_t signer = 0;
     uint16_t msg_len = 0;
-    uint16_t blob_len = 0;  // 0 marks an empty slot: no valid signature has an empty blob.
+    uint16_t blob_len = 0;  // 0 marks an empty slot: only non-empty blobs are looked up.
     std::array<uint8_t, kMemoMaxMsg> msg{};
     std::array<uint8_t, kMemoMaxBlob> blob{};
   };
