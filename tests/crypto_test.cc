@@ -399,6 +399,13 @@ TEST_P(CryptoSuiteTest, TamperedQuorumFailsAgainstWarmMemo) {
   EXPECT_FALSE(suite.Verify(flipped[1], msg));
   EXPECT_FALSE(suite.VerifyQuorum(flipped, msg, 3));
 
+  Signature truncated = sigs[0];
+  truncated.blob.resize(truncated.blob.size() / 2);
+  EXPECT_FALSE(suite.Verify(truncated, msg));
+  Signature extended = sigs[0];
+  extended.blob.push_back(0);  // Matches the slot's zero fill past the stored blob.
+  EXPECT_FALSE(suite.Verify(extended, msg));
+
   std::vector<Signature> reattributed = sigs;
   reattributed[0].signer = 3;  // A party that signed nothing.
   EXPECT_FALSE(suite.Verify(reattributed[0], msg));
@@ -440,25 +447,29 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, CryptoSuiteTest,
                          ::testing::Values(SignatureScheme::kSchnorr,
                                            SignatureScheme::kFastHmac));
 
+// The memo tests below are kFastHmac only: the memo is scheme-agnostic, and the thousands
+// of signatures they need would dominate the suite's runtime under Schnorr.
+
+// A distinct 12-byte message per index.
+Bytes IndexedMessage(uint32_t i) {
+  Bytes m(12, 0);
+  for (int b = 0; b < 4; ++b) {
+    m[static_cast<size_t>(b)] = static_cast<uint8_t>(i >> (8 * b));
+  }
+  return m;
+}
+
 // The memo holds kMemoSlots tuples. After several times that many distinct valid tuples
 // the first one has been evicted: it must still pass (via the full check), and a tampered
-// copy must still fail. The bound never changes a decision. kFastHmac only: the memo is
-// scheme-agnostic, and thousands of Schnorr signatures would dominate the suite's runtime.
+// copy must still fail. The bound never changes a decision.
 TEST(CryptoSuiteMemoTest, EvictedTupleStillVerifiesAndTamperStillFails) {
   CryptoSuite suite(SignatureScheme::kFastHmac, 4, 21);
-  auto message = [](uint32_t i) {
-    Bytes m(12, 0);
-    for (int b = 0; b < 4; ++b) {
-      m[static_cast<size_t>(b)] = static_cast<uint8_t>(i >> (8 * b));
-    }
-    return m;
-  };
-  const Bytes first_msg = message(0);
+  const Bytes first_msg = IndexedMessage(0);
   const ByteView first_view(first_msg.data(), first_msg.size());
   const Signature first = suite.Sign(2, first_view);
   ASSERT_TRUE(suite.Verify(first, first_view));
   for (uint32_t i = 1; i < 4 * CryptoSuite::kMemoSlots; ++i) {
-    const Bytes m = message(i);
+    const Bytes m = IndexedMessage(i);
     const ByteView v(m.data(), m.size());
     ASSERT_TRUE(suite.Verify(suite.Sign(i % 4, v), v));
   }
@@ -470,6 +481,27 @@ TEST(CryptoSuiteMemoTest, EvictedTupleStillVerifiesAndTamperStillFails) {
   EXPECT_FALSE(suite.Verify(tampered, first_view));
   EXPECT_TRUE(suite.Verify(first, first_view));
   EXPECT_EQ(suite.memo_hits(), hits + 1);  // Re-memoized by the full check above.
+}
+
+// The slot hash covers the signer and the message length, so a re-attributed blob or a
+// truncated message usually lands in another slot. Over thousands of messages some land
+// in the memoized original's slot, where only the full comparison refuses them.
+TEST(CryptoSuiteMemoTest, ReattributedOrTruncatedTupleFailsEvenInTheOriginalsSlot) {
+  constexpr uint32_t kParties = 8;
+  CryptoSuite suite(SignatureScheme::kFastHmac, kParties, 5);
+  for (uint32_t i = 0; i < CryptoSuite::kMemoSlots; ++i) {
+    const Bytes m = IndexedMessage(i);
+    const ByteView v(m.data(), m.size());
+    Signature sig = suite.Sign(0, v);
+    ASSERT_TRUE(suite.Verify(sig, v));
+    for (size_t len = 0; len < m.size(); ++len) {
+      ASSERT_FALSE(suite.Verify(sig, v.first(len))) << "message " << i << ", length " << len;
+    }
+    for (uint32_t other = 1; other < kParties; ++other) {
+      sig.signer = other;
+      ASSERT_FALSE(suite.Verify(sig, v)) << "message " << i << ", signer " << other;
+    }
+  }
 }
 
 // --- Hardware SHA-256 vs portable differential ---
