@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/serde.h"
+#include "src/consensus/checker_core.h"
 
 namespace achilles {
 
@@ -182,39 +183,10 @@ std::optional<SignedCert> AchillesChecker::TeeStore(const SignedCert& block_cert
 std::optional<AccumulatorCert> AchillesChecker::TeeAccum(
     const std::vector<SignedCert>& view_certs) {
   enclave_->ChargeEcall();
-  if (recovering_ || view_certs.size() < static_cast<size_t>(f_) + 1) {
+  if (recovering_) {
     return std::nullopt;
   }
-  enclave_->ChargeVerifyBatch(view_certs.size());
-  std::vector<NodeId> ids;
-  const SignedCert* best = nullptr;
-  for (const SignedCert& cert : view_certs) {
-    if (cert.aux != vi_) {
-      return std::nullopt;  // Every certificate must be for the current view.
-    }
-    const Bytes digest = cert.Digest(kAchNewView);
-    if (!enclave_->Verify(cert.sig, ByteView(digest.data(), digest.size()))) {
-      return std::nullopt;
-    }
-    for (NodeId seen : ids) {
-      if (seen == cert.sig.signer) {
-        return std::nullopt;  // Distinct signers required.
-      }
-    }
-    ids.push_back(cert.sig.signer);
-    if (best == nullptr || cert.view > best->view) {
-      best = &cert;
-    }
-  }
-  AccumulatorCert acc;
-  acc.hash = best->hash;
-  acc.block_view = best->view;
-  acc.current_view = vi_;
-  acc.ids = std::move(ids);
-  enclave_->ChargeSign();
-  const Bytes digest = acc.Digest(kAchAcc);
-  acc.sig = enclave_->Sign(ByteView(digest.data(), digest.size()));
-  return acc;
+  return Accumulate(enclave_, f_, vi_, view_certs, kAchNewView, kAchAcc);
 }
 
 std::optional<SignedCert> AchillesChecker::TeeView(View target) {

@@ -4,21 +4,8 @@
 
 namespace achilles {
 
-namespace {
-// Certificates collected per view are bounded by n; collections for old views are pruned
-// lazily against this horizon to keep long runs memory-stable.
-constexpr View kPruneHorizon = 8;
-
-template <typename MapT>
-void PruneBelow(MapT& map, View horizon) {
-  while (!map.empty() && map.begin()->first + kPruneHorizon < horizon) {
-    map.erase(map.begin());
-  }
-}
-}  // namespace
-
 AchillesReplica::AchillesReplica(const ReplicaContext& ctx, bool initial_launch)
-    : ReplicaBase(ctx),
+    : ChainedReplica(ctx, {kAchNewView, kAchCommit}),
       checker_(&enclave(), ctx.params.n, ctx.params.f, initial_launch,
                ctx.params.break_recovery_nonce) {
   preb_.block = Block::Genesis();
@@ -35,28 +22,22 @@ void AchillesReplica::OnStart() {
     StartRecoveryRound();
     return;
   }
-  if (checker_.vi() > 0) {
-    // Reboot with a fresh storage restore (quorum defense backend): the trusted state
-    // survived intact, so skip Algorithm 3 and rejoin directly — burn one view past the
-    // restored one, since messages may already have been sent there before the crash.
-    cur_view_ = checker_.vi();
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-    AdvanceViaTeeView(checker_.vi() + 1);
-    return;
-  }
-  // Genesis bootstrap: every node enters view 1 and reports its (empty) state to leader(1).
-  AdvanceViaTeeView(1);
+  // Genesis, or a reboot with a fresh storage restore (quorum defense backend): the
+  // trusted state survived intact, so skip Algorithm 3 and rejoin directly.
+  RejoinAtTrustedView();
 }
 
 void AchillesReplica::HandleMessage(NodeId from, const MessageRef& msg) {
   if (auto propose = std::dynamic_pointer_cast<const AchProposeMsg>(msg)) {
     OnPropose(from, propose);
   } else if (auto vote = std::dynamic_pointer_cast<const AchVoteMsg>(msg)) {
-    OnVote(*vote);
+    if (auto commit_cert = CollectVote(0, vote->store_cert, kAchCommit)) {
+      BroadcastToReplicas(MakeDecide(std::move(*commit_cert)), /*include_self=*/true);
+    }
   } else if (auto decide = std::dynamic_pointer_cast<const AchDecideMsg>(msg)) {
-    OnDecide(from, decide);
+    OnDecide(from, msg, decide->commit_cert);
   } else if (auto nv = std::dynamic_pointer_cast<const AchNewViewMsg>(msg)) {
-    OnNewView(*nv);
+    OnNewView(nv->view_cert);
   } else if (auto req = std::dynamic_pointer_cast<const AchRecoveryRequestMsg>(msg)) {
     OnRecoveryRequest(from, *req);
   } else if (auto rpy = std::dynamic_pointer_cast<const AchRecoveryReplyMsg>(msg)) {
@@ -64,165 +45,31 @@ void AchillesReplica::HandleMessage(NodeId from, const MessageRef& msg) {
   }
 }
 
-// --- View transitions ---
-
-void AchillesReplica::AdvanceViaTeeView(View target) {
-  const auto cert = checker_.TeeView(target);
-  if (!cert) {
-    return;
-  }
-  if (target > cur_view_) {
-    cur_view_ = target;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-  ArmViewTimer(cur_view_, consecutive_timeouts_);
+MessageRef AchillesReplica::MakeNewView(const SignedCert& view_cert) const {
   auto msg = std::make_shared<AchNewViewMsg>();
-  msg->view_cert = *cert;
-  SendTo(LeaderOf(target), msg);
+  msg->view_cert = view_cert;
+  return msg;
 }
 
-void AchillesReplica::OnViewTimeout(View view) {
-  if (checker_.recovering() || view != cur_view_) {
-    return;
-  }
-  ++consecutive_timeouts_;
-  AdvanceViaTeeView(cur_view_ + 1);
-}
-
-void AchillesReplica::EnterViewAfterCommit(View new_view,
-                                           const std::shared_ptr<const AchDecideMsg>& decide) {
-  if (new_view <= cur_view_) {
-    return;
-  }
-  cur_view_ = new_view;
-  JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(cur_view_, 0);
-  if (!params().commit_fast_path) {
-    // Ablation: fall back to the NEW-VIEW collection for every view.
-    AdvanceViaTeeView(new_view);
-    return;
-  }
-  // NEW-VIEW optimization: hand the commitment certificate to the new leader instead of a
-  // NEW-VIEW certificate. Self-addressed copies short-circuit locally below.
-  const NodeId next_leader = LeaderOf(new_view);
-  if (next_leader == id()) {
-    commit_certs_[new_view] = decide->commit_cert;
-    TryProposeFromCommit(new_view);
-  } else {
-    SendTo(next_leader, decide);
-  }
-}
-
-// --- Normal case: proposals ---
-
-void AchillesReplica::TryProposeFromCommit(View w) {
-  if (checker_.recovering() || LeaderOf(w) != id() || w < cur_view_ ||
-      proposed_hash_.count(w) > 0) {
-    return;
-  }
-  auto it = commit_certs_.find(w);
-  if (it == commit_certs_.end()) {
-    return;
-  }
-  const QuorumCert& cert = it->second;
-  if (!EnsureAncestry(cert.hash, LeaderOf(cert.view))) {
-    return;  // Sync will retry via OnBlocksSynced.
-  }
-  const BlockPtr parent = store_.Get(cert.hash);
-  BuildAndBroadcastProposal(w, parent, /*acc=*/nullptr, &cert);
-}
-
-void AchillesReplica::TryProposeFromViewCerts(View w) {
-  if (checker_.recovering() || LeaderOf(w) != id() || w < cur_view_ ||
-      proposed_hash_.count(w) > 0) {
-    return;
-  }
-  auto it = view_certs_.find(w);
-  if (it == view_certs_.end() || it->second.size() < quorum()) {
-    return;
-  }
-  // Join the view in the trusted component if the pacemaker hasn't got us there yet; our
-  // own NEW-VIEW certificate (sent to ourselves) will land in the collection too, but the
-  // quorum check above already passed without it.
-  if (checker_.vi() < w) {
-    AdvanceViaTeeView(w);
-    if (checker_.vi() != w) {
-      return;
-    }
-  }
-  // The freshest stored block among the certificates must be locally available before we
-  // can extend it.
-  const SignedCert* best = nullptr;
-  for (const SignedCert& cert : it->second) {
-    if (best == nullptr || cert.view > best->view) {
-      best = &cert;
-    }
-  }
-  if (!EnsureAncestry(best->hash, best->sig.signer)) {
-    return;
-  }
-  const BlockPtr parent = store_.Get(best->hash);
-  const auto acc = checker_.TeeAccum(it->second);
-  if (!acc) {
-    return;
-  }
-  BuildAndBroadcastProposal(w, parent, &*acc, /*commit_cert=*/nullptr);
-}
-
-void AchillesReplica::BuildAndBroadcastProposal(View w, const BlockPtr& parent,
-                                                const AccumulatorCert* acc,
-                                                const QuorumCert* commit_cert) {
-  std::vector<Transaction> batch = mempool_.TakeBatch(params().batch_size);
-  // executeTx + createLeaf: hash the batch and execute it against the parent state.
-  ChargeExecute(batch.size());
-  const BlockPtr block = Block::Create(w, parent, std::move(batch), LocalNow());
-  ChargeHashBytes(block->WireSize());
-
-  std::optional<SignedCert> block_cert;
-  if (acc != nullptr) {
-    block_cert = checker_.TeePrepare(*block, *acc);
-  } else {
-    block_cert = checker_.TeePrepare(*block, *commit_cert);
-  }
-  if (!block_cert) {
-    return;
-  }
-  if (w > cur_view_) {
-    cur_view_ = w;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-  proposed_hash_[w] = block->hash;
-  store_.Add(block);
-  MarkProposed(block);
-  PruneBelow(proposed_hash_, cur_view_);
-  PruneBelow(view_certs_, cur_view_);
-  PruneBelow(store_votes_, cur_view_);
-  PruneBelow(commit_certs_, cur_view_);
-
+MessageRef AchillesReplica::MakePropose(const BlockPtr& block,
+                                        const SignedCert& block_cert) const {
   auto msg = std::make_shared<AchProposeMsg>();
   msg->block = block;
-  msg->block_cert = *block_cert;
-  BroadcastToReplicas(msg, /*include_self=*/true);
+  msg->block_cert = block_cert;
+  return msg;
+}
+
+MessageRef AchillesReplica::MakeDecide(QuorumCert commit_cert) const {
+  auto msg = std::make_shared<AchDecideMsg>();
+  msg->commit_cert = std::move(commit_cert);
+  return msg;
 }
 
 // --- Normal case: store + vote ---
 
 void AchillesReplica::OnPropose(NodeId from,
                                 const std::shared_ptr<const AchProposeMsg>& msg) {
-  if (checker_.recovering() || msg->block == nullptr) {
-    return;
-  }
-  const View v = msg->block_cert.view;
-  if (v < checker_.vi() || msg->block->hash != msg->block_cert.hash ||
-      msg->block->view != v) {
-    return;
-  }
-  if (!AcceptBlock(msg->block)) {
-    return;  // Failed integrity validation.
-  }
-  if (!EnsureAncestry(msg->block->hash, from)) {
-    pending_proposals_.emplace_back(from, msg);
+  if (!AdmitProposal(from, msg, msg->block, msg->block_cert)) {
     return;
   }
   const auto store_cert = checker_.TeeStore(msg->block_cert);
@@ -232,125 +79,24 @@ void AchillesReplica::OnPropose(NodeId from,
   if (preb_.block == nullptr || msg->block->view >= preb_.block->view) {
     preb_ = StoredBlock{msg->block, msg->block_cert, QuorumCert{}};
   }
-  if (v > cur_view_) {
-    cur_view_ = v;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(cur_view_, 0);  // Progress: reset the pacemaker.
+  const View v = msg->block_cert.view;
+  NoteProgress(v);
 
   auto vote = std::make_shared<AchVoteMsg>();
   vote->store_cert = *store_cert;
   SendTo(LeaderOf(v), vote);
 }
 
-void AchillesReplica::OnVote(const AchVoteMsg& msg) {
-  if (checker_.recovering()) {
-    return;
-  }
-  const View v = msg.store_cert.view;
-  if (LeaderOf(v) != id() || v > cur_view_ + 1 || highest_decided_ >= v) {
-    return;
-  }
-  auto proposed = proposed_hash_.find(v);
-  if (proposed == proposed_hash_.end() || msg.store_cert.hash != proposed->second) {
-    return;
-  }
-  ChargeVerifyPlain(1);
-  const Bytes digest = msg.store_cert.Digest(kAchCommit);
-  if (!platform().suite().Verify(msg.store_cert.sig, ByteView(digest.data(), digest.size()))) {
-    return;
-  }
-  std::vector<SignedCert>& votes = store_votes_[v];
-  for (const SignedCert& existing : votes) {
-    if (existing.sig.signer == msg.store_cert.sig.signer) {
-      return;
-    }
-  }
-  votes.push_back(msg.store_cert);
-  CritNote(0, v);
-  if (votes.size() < quorum()) {
-    return;
-  }
-  CritJoin(0, v);
-  highest_decided_ = v;
-  auto decide = std::make_shared<AchDecideMsg>();
-  decide->commit_cert.hash = proposed->second;
-  decide->commit_cert.view = v;
-  for (const SignedCert& vote : votes) {
-    decide->commit_cert.sigs.push_back(vote.sig);
-  }
-  BroadcastToReplicas(decide, /*include_self=*/true);
-}
-
-// --- Normal case: decide + chained commit ---
-
-void AchillesReplica::OnDecide(NodeId from, const std::shared_ptr<const AchDecideMsg>& msg) {
-  if (checker_.recovering()) {
-    return;
-  }
-  const QuorumCert& cert = msg->commit_cert;
-  BlockPtr block = store_.Get(cert.hash);
-  if (block != nullptr && block->height <= last_committed_height_) {
-    return;  // Duplicate decide for an already-committed block.
-  }
-  ChargeVerifyBatch(cert.sigs.size());
-  if (!cert.Verify(platform().suite(), kAchCommit, quorum())) {
-    return;
-  }
-  if (block == nullptr) {
-    pending_decides_.emplace_back(from, msg);
-    RequestBlock(from, cert.hash);
-    return;
-  }
-  if (!EnsureAncestry(cert.hash, from) &&
-      block->height <= last_committed_height_ + 64) {
-    // A small gap: wait for sync. (A deep gap falls through to checkpoint adoption in
-    // CommitChain — state transfer instead of replay.)
-    pending_decides_.emplace_back(from, msg);
-    return;
-  }
+void AchillesReplica::OnDecided(const BlockPtr& block, const QuorumCert& cert) {
   // Record the freshest certificates for recovery replies.
   if (preb_.block != nullptr && preb_.block->hash == cert.hash) {
     preb_.commit_cert = cert;
   } else if (preb_.block == nullptr || block->view > preb_.block->view) {
     preb_ = StoredBlock{block, SignedCert{}, cert};
   }
-  CommitChain(block, cert.WireSize());
   if (latest_committed_.block == nullptr || block->view > latest_committed_.block->view) {
     latest_committed_ = StoredBlock{block, SignedCert{}, cert};
   }
-  // As the (possibly future) leader, remember the justification for view v+1.
-  if (params().commit_fast_path && LeaderOf(cert.view + 1) == id()) {
-    commit_certs_[cert.view + 1] = cert;
-    TryProposeFromCommit(cert.view + 1);
-  }
-  EnterViewAfterCommit(cert.view + 1, msg);
-}
-
-// --- NEW-VIEW collection (leader) ---
-
-void AchillesReplica::OnNewView(const AchNewViewMsg& msg) {
-  if (checker_.recovering()) {
-    return;
-  }
-  const View w = msg.view_cert.aux;  // Certificate's target view.
-  if (LeaderOf(w) != id() || w + kPruneHorizon < cur_view_ || proposed_hash_.count(w) > 0) {
-    return;
-  }
-  ChargeVerifyPlain(1);
-  const Bytes digest = msg.view_cert.Digest(kAchNewView);
-  if (!platform().suite().Verify(msg.view_cert.sig, ByteView(digest.data(), digest.size()))) {
-    return;
-  }
-  std::vector<SignedCert>& certs = view_certs_[w];
-  for (const SignedCert& existing : certs) {
-    if (existing.sig.signer == msg.view_cert.sig.signer) {
-      return;
-    }
-  }
-  certs.push_back(msg.view_cert);
-  TryProposeFromViewCerts(w);
 }
 
 // --- Recovery ---
@@ -461,12 +207,11 @@ void AchillesReplica::TryFinishRecovery() {
   }
   recovery_completed_at_ = LocalNow();
   recovery_completed_nonce_ = leader_reply->aux2;
-  cur_view_ = checker_.vi();
+  const View view = checker_.vi();
   // a = nonce echoed by the accepted round, b = the view recovery lands in. Forensics
   // compares a against the last kRecoveryRound nonce to detect a stale-round acceptance.
-  JournalEvent(obs::JournalKind::kRecoveryExit, leader_reply->aux2, cur_view_);
-  JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  consecutive_timeouts_ = 0;
+  JournalEvent(obs::JournalKind::kRecoveryExit, leader_reply->aux2, view);
+  EnterView(view);
   // State transfer: adopt the best certified committed checkpoint from the replies.
   if (best_recovery_checkpoint_.block != nullptr) {
     AdoptCheckpoint(best_recovery_checkpoint_.block,
@@ -492,25 +237,12 @@ void AchillesReplica::TryFinishRecovery() {
   recovery_replies_.clear();
   recovered_certs_.clear();
   best_recovery_checkpoint_ = StoredBlock{};
-  ArmViewTimer(cur_view_, 0);
-  auto msg = std::make_shared<AchNewViewMsg>();
-  msg->view_cert = *view_cert;
-  SendTo(LeaderOf(cur_view_), msg);
+  NoteProgress(view);
+  SendTo(LeaderOf(view), MakeNewView(*view_cert));
 }
 
 void AchillesReplica::OnBlocksSynced() {
-  auto proposals = std::move(pending_proposals_);
-  pending_proposals_.clear();
-  for (auto& [from, msg] : proposals) {
-    OnPropose(from, msg);
-  }
-  auto decides = std::move(pending_decides_);
-  pending_decides_.clear();
-  for (auto& [from, msg] : decides) {
-    OnDecide(from, msg);
-  }
-  TryProposeFromCommit(cur_view_);
-  TryProposeFromViewCerts(cur_view_);
+  ChainedReplica::OnBlocksSynced();
   TryFinishRecovery();
 }
 

@@ -1,6 +1,7 @@
 // The Achilles replica: one-phase normal case with chained commit rules (Algorithm 1) and
 // the rollback-resilient recovery driver (Algorithm 3). Trusted decisions live in
-// AchillesChecker; this class is the untrusted driver around it.
+// AchillesChecker. ChainedReplica drives the view change, vote collection and DECIDE; this
+// class adds the one-phase store and the recovery driver.
 #ifndef SRC_ACHILLES_REPLICA_H_
 #define SRC_ACHILLES_REPLICA_H_
 
@@ -9,11 +10,11 @@
 
 #include "src/achilles/checker.h"
 #include "src/achilles/messages.h"
-#include "src/consensus/replica_base.h"
+#include "src/consensus/chained_replica.h"
 
 namespace achilles {
 
-class AchillesReplica : public ReplicaBase {
+class AchillesReplica : public ChainedReplica {
  public:
   // `initial_launch` must be true only for the genesis incarnation of the node; reboots
   // construct with false, which starts the replica in recovery.
@@ -23,7 +24,6 @@ class AchillesReplica : public ReplicaBase {
 
   // Introspection (tests/harness).
   bool recovering() const { return checker_.recovering(); }
-  View current_view() const { return cur_view_; }
   const AchillesChecker& checker() const { return checker_; }
   SimTime recovery_completed_at() const { return recovery_completed_at_; }
   // Nonce carried by the replies the last completed recovery actually consumed (the
@@ -40,8 +40,26 @@ class AchillesReplica : public ReplicaBase {
 
  protected:
   void HandleMessage(NodeId from, const MessageRef& msg) override;
-  void OnViewTimeout(View view) override;
   void OnBlocksSynced() override;
+
+  // ChainedReplica hooks.
+  bool Active() const override { return !checker_.recovering(); }
+  View TrustedView() const override { return checker_.vi(); }
+  std::optional<SignedCert> TrustedNewView(View target) override {
+    return checker_.TeeView(target);
+  }
+  std::optional<AccumulatorCert> TrustedAccum(const std::vector<SignedCert>& certs) override {
+    return checker_.TeeAccum(certs);
+  }
+  std::optional<SignedCert> TrustedPrepare(const Block& block, const AccumulatorCert* acc,
+                                           const QuorumCert* commit_cert) override {
+    return acc != nullptr ? checker_.TeePrepare(block, *acc)
+                          : checker_.TeePrepare(block, *commit_cert);
+  }
+  MessageRef MakeNewView(const SignedCert& view_cert) const override;
+  MessageRef MakePropose(const BlockPtr& block, const SignedCert& block_cert) const override;
+  MessageRef MakeDecide(QuorumCert commit_cert) const override;
+  void OnDecided(const BlockPtr& block, const QuorumCert& cert) override;
 
  private:
   struct StoredBlock {
@@ -51,42 +69,16 @@ class AchillesReplica : public ReplicaBase {
   };
 
   void OnPropose(NodeId from, const std::shared_ptr<const AchProposeMsg>& msg);
-  void OnVote(const AchVoteMsg& msg);
-  void OnDecide(NodeId from, const std::shared_ptr<const AchDecideMsg>& msg);
-  void OnNewView(const AchNewViewMsg& msg);
   void OnRecoveryRequest(NodeId from, const AchRecoveryRequestMsg& msg);
   void OnRecoveryReply(NodeId from, const AchRecoveryReplyMsg& msg);
-
-  // Proposal paths. `w` is the view to propose in.
-  void TryProposeFromCommit(View w);
-  void TryProposeFromViewCerts(View w);
-  void BuildAndBroadcastProposal(View w, const BlockPtr& parent,
-                                 const AccumulatorCert* acc, const QuorumCert* commit_cert);
-
-  // View transitions.
-  void AdvanceViaTeeView(View target);
-  void EnterViewAfterCommit(View new_view, const std::shared_ptr<const AchDecideMsg>& decide);
 
   // Recovery driver.
   void StartRecoveryRound();
   void TryFinishRecovery();
 
   AchillesChecker checker_;
-  View cur_view_ = 0;
-  uint32_t consecutive_timeouts_ = 0;
   StoredBlock preb_;  // Latest stored block from a leader (Algorithm 1 line 3).
   StoredBlock latest_committed_;  // Latest block committed with its certificate.
-
-  // Leader-side collections.
-  std::map<View, std::vector<SignedCert>> store_votes_;
-  std::map<View, std::vector<SignedCert>> view_certs_;
-  std::map<View, Hash256> proposed_hash_;    // Blocks this node proposed per view.
-  std::map<View, QuorumCert> commit_certs_;  // Justifications: cert of view v enables v+1.
-  View highest_decided_ = 0;                 // Highest view whose decide we broadcast.
-
-  // Stashed messages waiting for ancestor synchronization.
-  std::vector<std::pair<NodeId, std::shared_ptr<const AchProposeMsg>>> pending_proposals_;
-  std::vector<std::pair<NodeId, std::shared_ptr<const AchDecideMsg>>> pending_decides_;
 
   // Recovery state (untrusted side).
   std::vector<SignedCert> recovery_replies_;

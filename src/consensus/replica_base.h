@@ -227,6 +227,17 @@ class ReplicaBase : public IProcess {
   void ArmViewTimer(View view, uint32_t consecutive_timeouts);
   void CancelViewTimer();
 
+  // Per-view collections (votes, NEW-VIEW certificates, proposals) are bounded by n per
+  // view; entries more than kPruneHorizon views behind `horizon` are dropped lazily to keep
+  // long runs memory-stable. Handlers ignore messages for views that far back.
+  static constexpr View kPruneHorizon = 8;
+  template <typename MapT>
+  static void PruneBelow(MapT& map, View horizon) {
+    while (!map.empty() && map.begin()->first + kPruneHorizon < horizon) {
+      map.erase(map.begin());
+    }
+  }
+
   // --- Block sync ---
   // Requests `want` (and transitively its ancestors) from `from_peer`.
   void RequestBlock(NodeId from_peer, const Hash256& want);

@@ -1,235 +1,19 @@
 #include "src/damysus/checker.h"
 
-#include "src/common/serde.h"
-
 namespace achilles {
 
-namespace {
-constexpr const char* kSealSlot = "damysus-checker";
-}
-
-DamysusChecker::DamysusChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f)
-    : DamysusChecker(enclave, n, f, /*restored=*/false) {
-  preph_ = Block::Genesis()->hash;
-  PersistState();
-}
-
-DamysusChecker::DamysusChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f,
-                               bool /*restored*/)
-    : enclave_(enclave), n_(n), f_(f) {
-  preph_ = Block::Genesis()->hash;
-}
+DamysusChecker::DamysusChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f, bool restored)
+    : SealedVoteChecker(enclave, n, f, "damysus-checker",
+                        {kDamPrep, kDamVote1, kDamVote2, kDamNewView, kDamAcc}, restored) {}
 
 std::unique_ptr<DamysusChecker> DamysusChecker::Restore(EnclaveRuntime* enclave, uint32_t n,
                                                         uint32_t f,
                                                         bool break_restore_verify) {
-  enclave->ChargeEcall();
-  // The defense backend serves the surviving record with its freshness verdict: counter
-  // compare under the local backend, peer copies/certificates under the quorum ones.
-  // `break_restore_verify` skips the freshness check (chaos oracle self-tests only).
-  persist::OpenResult opened = enclave->defense().Open(kSealSlot, !break_restore_verify);
-  if (opened.status == persist::OpenStatus::kRolledBack) {
-    // Rollback detected (stale version vs the backend's proven floor) -> refuse to run.
-    enclave->platform().host().JournalEvent(obs::JournalKind::kRollbackReject,
-                                            opened.version, opened.expected_version,
-                                            kSealSlot);
+  std::unique_ptr<DamysusChecker> checker(new DamysusChecker(enclave, n, f, /*restored=*/true));
+  if (!checker->LoadSealed(break_restore_verify)) {
     return nullptr;
   }
-  if (!opened.record) {
-    return nullptr;  // Nothing to restore (or forged blob).
-  }
-  ByteReader r(ByteView(opened.record->data(), opened.record->size()));
-  const auto vi = r.U64();
-  const auto flags = r.U8();
-  const auto prepv = r.U64();
-  const auto preph = r.Raw(32);
-  if (!vi || !flags || !prepv || !preph || r.remaining() != 0) {
-    return nullptr;
-  }
-  auto checker =
-      std::unique_ptr<DamysusChecker>(new DamysusChecker(enclave, n, f, /*restored=*/true));
-  checker->vi_ = *vi;
-  checker->flag_ = (*flags & 1) != 0;
-  checker->voted1_ = (*flags & 2) != 0;
-  checker->voted2_ = (*flags & 4) != 0;
-  checker->prepv_ = *prepv;
-  std::copy(preph->begin(), preph->end(), checker->preph_.begin());
-  checker->version_ = opened.version;
   return checker;
-}
-
-void DamysusChecker::PersistState() {
-  ByteWriter w;
-  w.U64(vi_);
-  w.U8(static_cast<uint8_t>((flag_ ? 1 : 0) | (voted1_ ? 2 : 0) | (voted2_ ? 4 : 0)));
-  w.U64(prepv_);
-  w.Raw(ByteView(preph_.data(), preph_.size()));
-  // The backend assigns the version, appends it to the sealed blob, and pays the defense
-  // cost: the counter write in -R (the 20-97 ms critical-path stall), the peer-quorum
-  // round trip under rollbaccine/healer.
-  version_ = enclave_->defense().Persist(kSealSlot, ByteView(w.bytes().data(), w.bytes().size()));
-}
-
-void DamysusChecker::AdvanceTo(View v) {
-  if (v > vi_) {
-    vi_ = v;
-    flag_ = false;
-    voted1_ = false;
-    voted2_ = false;
-  }
-}
-
-std::optional<SignedCert> DamysusChecker::TdPrepare(const Block& b,
-                                                    const AccumulatorCert& acc) {
-  enclave_->ChargeEcall();
-  if (acc.current_view != vi_ || flag_ ||
-      acc.sig.signer != enclave_->platform().node_id()) {
-    return std::nullopt;
-  }
-  enclave_->ChargeVerify(1);
-  const Bytes digest = acc.Digest(kDamAcc);
-  if (!enclave_->Verify(acc.sig, ByteView(digest.data(), digest.size())) ||
-      b.parent != acc.hash || b.view != vi_) {
-    return std::nullopt;
-  }
-  flag_ = true;
-  PersistState();
-  SignedCert cert;
-  cert.hash = b.hash;
-  cert.view = vi_;
-  enclave_->ChargeSign();
-  const Bytes d = cert.Digest(kDamPrep);
-  cert.sig = enclave_->Sign(ByteView(d.data(), d.size()));
-  return cert;
-}
-
-std::optional<SignedCert> DamysusChecker::TdPrepare(const Block& b,
-                                                    const QuorumCert& commit_qc) {
-  enclave_->ChargeEcall();
-  const View new_view = commit_qc.view + 1;
-  if (new_view < vi_ || (new_view == vi_ && flag_)) {
-    return std::nullopt;
-  }
-  enclave_->ChargeVerifyBatch(commit_qc.sigs.size());
-  if (!commit_qc.Verify(enclave_->platform().suite(), kDamVote2,
-                        static_cast<size_t>(f_) + 1) ||
-      b.parent != commit_qc.hash || b.view != new_view) {
-    return std::nullopt;
-  }
-  AdvanceTo(new_view);
-  flag_ = true;
-  PersistState();
-  SignedCert cert;
-  cert.hash = b.hash;
-  cert.view = vi_;
-  enclave_->ChargeSign();
-  const Bytes d = cert.Digest(kDamPrep);
-  cert.sig = enclave_->Sign(ByteView(d.data(), d.size()));
-  return cert;
-}
-
-std::optional<SignedCert> DamysusChecker::TdVote(const SignedCert& prep_cert) {
-  enclave_->ChargeEcall();
-  const View v = prep_cert.view;
-  if (v < vi_ || (v == vi_ && voted1_) ||
-      prep_cert.sig.signer != LeaderOfView(v, n_)) {
-    return std::nullopt;
-  }
-  enclave_->ChargeVerify(1);
-  const Bytes digest = prep_cert.Digest(kDamPrep);
-  if (!enclave_->Verify(prep_cert.sig, ByteView(digest.data(), digest.size()))) {
-    return std::nullopt;
-  }
-  AdvanceTo(v);
-  voted1_ = true;
-  PersistState();
-  SignedCert vote;
-  vote.hash = prep_cert.hash;
-  vote.view = v;
-  enclave_->ChargeSign();
-  const Bytes d = vote.Digest(kDamVote1);
-  vote.sig = enclave_->Sign(ByteView(d.data(), d.size()));
-  return vote;
-}
-
-std::optional<SignedCert> DamysusChecker::TdStore(const QuorumCert& prepared_qc) {
-  enclave_->ChargeEcall();
-  const View v = prepared_qc.view;
-  if (v < vi_ || (v == vi_ && voted2_)) {
-    return std::nullopt;
-  }
-  enclave_->ChargeVerifyBatch(prepared_qc.sigs.size());
-  if (!prepared_qc.Verify(enclave_->platform().suite(), kDamVote1,
-                          static_cast<size_t>(f_) + 1)) {
-    return std::nullopt;
-  }
-  AdvanceTo(v);
-  voted2_ = true;
-  prepv_ = v;
-  preph_ = prepared_qc.hash;
-  PersistState();
-  SignedCert vote;
-  vote.hash = prepared_qc.hash;
-  vote.view = v;
-  enclave_->ChargeSign();
-  const Bytes d = vote.Digest(kDamVote2);
-  vote.sig = enclave_->Sign(ByteView(d.data(), d.size()));
-  return vote;
-}
-
-std::optional<SignedCert> DamysusChecker::TdNewView(View target) {
-  enclave_->ChargeEcall();
-  if (target <= vi_) {
-    return std::nullopt;
-  }
-  AdvanceTo(target);
-  PersistState();
-  SignedCert cert;
-  cert.hash = preph_;
-  cert.view = prepv_;
-  cert.aux = target;
-  enclave_->ChargeSign();
-  const Bytes d = cert.Digest(kDamNewView);
-  cert.sig = enclave_->Sign(ByteView(d.data(), d.size()));
-  return cert;
-}
-
-std::optional<AccumulatorCert> DamysusChecker::TdAccum(
-    const std::vector<SignedCert>& view_certs) {
-  enclave_->ChargeEcall();
-  if (view_certs.size() < static_cast<size_t>(f_) + 1) {
-    return std::nullopt;
-  }
-  enclave_->ChargeVerifyBatch(view_certs.size());
-  std::vector<NodeId> ids;
-  const SignedCert* best = nullptr;
-  for (const SignedCert& cert : view_certs) {
-    if (cert.aux != vi_) {
-      return std::nullopt;
-    }
-    const Bytes digest = cert.Digest(kDamNewView);
-    if (!enclave_->Verify(cert.sig, ByteView(digest.data(), digest.size()))) {
-      return std::nullopt;
-    }
-    for (NodeId seen : ids) {
-      if (seen == cert.sig.signer) {
-        return std::nullopt;
-      }
-    }
-    ids.push_back(cert.sig.signer);
-    if (best == nullptr || cert.view > best->view) {
-      best = &cert;
-    }
-  }
-  AccumulatorCert acc;
-  acc.hash = best->hash;
-  acc.block_view = best->view;
-  acc.current_view = vi_;
-  acc.ids = std::move(ids);
-  enclave_->ChargeSign();
-  const Bytes digest = acc.Digest(kDamAcc);
-  acc.sig = enclave_->Sign(ByteView(digest.data(), digest.size()));
-  return acc;
 }
 
 }  // namespace achilles

@@ -17,9 +17,7 @@
 #include <optional>
 #include <vector>
 
-#include "src/consensus/certificates.h"
-#include "src/consensus/types.h"
-#include "src/tee/enclave.h"
+#include "src/consensus/checker_core.h"
 
 namespace achilles {
 
@@ -29,10 +27,11 @@ inline constexpr const char* kDamVote2 = "damysus/VOTE2";      // Pre-commit vot
 inline constexpr const char* kDamNewView = "damysus/NEW-VIEW";
 inline constexpr const char* kDamAcc = "damysus/ACC";
 
-class DamysusChecker {
+class DamysusChecker : public SealedVoteChecker {
  public:
   // Fresh genesis-time checker.
-  DamysusChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f);
+  DamysusChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f)
+      : DamysusChecker(enclave, n, f, /*restored=*/false) {}
 
   // Restores a checker from the defense backend after a reboot. Returns nullptr when the
   // state is unusable: missing/forged seal, or a detected rollback (seal version behind
@@ -43,51 +42,34 @@ class DamysusChecker {
                                                  uint32_t f,
                                                  bool break_restore_verify = false);
 
-  View vi() const { return vi_; }
-  View prepv() const { return prepv_; }
-  const Hash256& preph() const { return preph_; }
-  bool proposed_flag() const { return flag_; }
-  // Backend-assigned state version; in -R (local backend) this equals the persistent
-  // counter after every mutation (the invariant the chaos harness's counter oracle
-  // checks); under quorum backends it is the version the peer quorum vouches for.
-  uint64_t version() const { return version_; }
-
   // Leader: certify a block for the current view. Justified either by an accumulator over
   // f+1 NEW-VIEW certificates or by a commit QC of the previous view (chained fast path).
-  std::optional<SignedCert> TdPrepare(const Block& b, const AccumulatorCert& acc);
-  std::optional<SignedCert> TdPrepare(const Block& b, const QuorumCert& commit_qc);
+  std::optional<SignedCert> TdPrepare(const Block& b, const AccumulatorCert& acc) {
+    return PrepareFromAcc(b, acc);
+  }
+  std::optional<SignedCert> TdPrepare(const Block& b, const QuorumCert& commit_qc) {
+    return PrepareFromCommit(b, commit_qc, /*aux=*/0);
+  }
 
   // Backup: first-phase vote on the leader's block certificate.
-  std::optional<SignedCert> TdVote(const SignedCert& prep_cert);
+  std::optional<SignedCert> TdVote(const SignedCert& prep_cert) { return VoteFirst(prep_cert); }
 
   // Any node: second-phase vote; records the block as prepared. `prepared_qc` combines f+1
   // first-phase votes.
-  std::optional<SignedCert> TdStore(const QuorumCert& prepared_qc);
+  std::optional<SignedCert> TdStore(const QuorumCert& prepared_qc) {
+    return StorePrepared(prepared_qc);
+  }
 
   // Timeout path: jump to `target` view, emitting the NEW-VIEW certificate.
-  std::optional<SignedCert> TdNewView(View target);
+  std::optional<SignedCert> TdNewView(View target) { return NewView(target); }
 
   // Stateless accumulator over NEW-VIEW certificates for the current view.
-  std::optional<AccumulatorCert> TdAccum(const std::vector<SignedCert>& view_certs);
+  std::optional<AccumulatorCert> TdAccum(const std::vector<SignedCert>& view_certs) {
+    return Accum(view_certs);
+  }
 
  private:
   DamysusChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f, bool restored);
-
-  // Persists the state through the defense backend (which assigns version_).
-  void PersistState();
-  void AdvanceTo(View v);
-
-  EnclaveRuntime* enclave_;
-  uint32_t n_;
-  uint32_t f_;
-
-  View vi_ = 0;
-  bool flag_ = false;    // Leader proposed in vi.
-  bool voted1_ = false;  // First-phase vote cast in vi.
-  bool voted2_ = false;  // Second-phase vote cast in vi.
-  View prepv_ = 0;
-  Hash256 preph_;
-  uint64_t version_ = 0;  // Monotonic state version assigned by the defense backend.
 };
 
 }  // namespace achilles

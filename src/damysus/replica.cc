@@ -1,22 +1,9 @@
 #include "src/damysus/replica.h"
 
-#include <algorithm>
-
 namespace achilles {
 
-namespace {
-constexpr View kPruneHorizon = 8;
-
-template <typename MapT>
-void PruneBelow(MapT& map, View horizon) {
-  while (!map.empty() && map.begin()->first + kPruneHorizon < horizon) {
-    map.erase(map.begin());
-  }
-}
-}  // namespace
-
 DamysusReplica::DamysusReplica(const ReplicaContext& ctx, bool initial_launch)
-    : ReplicaBase(ctx) {
+    : ChainedReplica(ctx, {kDamNewView, kDamVote2}) {
   if (initial_launch) {
     checker_ = std::make_unique<DamysusChecker>(&enclave(), ctx.params.n, ctx.params.f);
   } else {
@@ -32,14 +19,7 @@ void DamysusReplica::OnStart() {
     JournalEvent(obs::JournalKind::kHalt);
     return;  // Halted: rollback detected (or no sealed state to restore).
   }
-  if (checker_->vi() == 0) {
-    AdvanceViaNewView(1);
-  } else {
-    // Restored mid-history: rejoin by moving one view ahead.
-    cur_view_ = checker_->vi();
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-    AdvanceViaNewView(cur_view_ + 1);
-  }
+  RejoinAtTrustedView();
 }
 
 void DamysusReplica::HandleMessage(NodeId from, const MessageRef& msg) {
@@ -49,211 +29,62 @@ void DamysusReplica::HandleMessage(NodeId from, const MessageRef& msg) {
   if (auto propose = std::dynamic_pointer_cast<const DamProposeMsg>(msg)) {
     OnPropose(from, propose);
   } else if (auto v1 = std::dynamic_pointer_cast<const DamVote1Msg>(msg)) {
-    OnVote1(*v1);
+    if (auto prepared_qc = CollectVote(0, v1->vote, kDamVote1)) {
+      auto out = std::make_shared<DamPreCommitMsg>();
+      out->prepared_qc = std::move(*prepared_qc);
+      BroadcastToReplicas(out, /*include_self=*/true);
+    }
   } else if (auto pc = std::dynamic_pointer_cast<const DamPreCommitMsg>(msg)) {
-    OnPreCommit(from, pc);
+    OnPreCommit(from, *pc);
   } else if (auto v2 = std::dynamic_pointer_cast<const DamVote2Msg>(msg)) {
-    OnVote2(*v2);
+    if (auto commit_qc = CollectVote(1, v2->vote, kDamVote2)) {
+      BroadcastToReplicas(MakeDecide(std::move(*commit_qc)), /*include_self=*/true);
+    }
   } else if (auto decide = std::dynamic_pointer_cast<const DamDecideMsg>(msg)) {
-    OnDecide(from, decide);
+    OnDecide(from, msg, decide->commit_qc);
   } else if (auto nv = std::dynamic_pointer_cast<const DamNewViewMsg>(msg)) {
-    OnNewView(*nv);
+    OnNewView(nv->view_cert);
   }
 }
 
-void DamysusReplica::AdvanceViaNewView(View target) {
-  const auto cert = checker_->TdNewView(target);
-  if (!cert) {
-    return;
-  }
-  if (target > cur_view_) {
-    cur_view_ = target;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-  ArmViewTimer(cur_view_, consecutive_timeouts_);
+MessageRef DamysusReplica::MakeNewView(const SignedCert& view_cert) const {
   auto msg = std::make_shared<DamNewViewMsg>();
-  msg->view_cert = *cert;
-  SendTo(LeaderOf(target), msg);
+  msg->view_cert = view_cert;
+  return msg;
 }
 
-void DamysusReplica::OnViewTimeout(View view) {
-  if (checker_ == nullptr || view != cur_view_) {
-    return;
-  }
-  ++consecutive_timeouts_;
-  AdvanceViaNewView(cur_view_ + 1);
-}
-
-void DamysusReplica::EnterViewAfterCommit(View new_view,
-                                          const std::shared_ptr<const DamDecideMsg>& msg) {
-  if (new_view <= cur_view_) {
-    return;
-  }
-  cur_view_ = new_view;
-  JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(cur_view_, 0);
-  const NodeId next_leader = LeaderOf(new_view);
-  if (next_leader == id()) {
-    commit_certs_[new_view] = msg->commit_qc;
-    TryProposeFromCommit(new_view);
-  } else {
-    SendTo(next_leader, msg);
-  }
-}
-
-void DamysusReplica::TryProposeFromCommit(View w) {
-  if (LeaderOf(w) != id() || w < cur_view_ || proposed_hash_.count(w) > 0) {
-    return;
-  }
-  auto it = commit_certs_.find(w);
-  if (it == commit_certs_.end()) {
-    return;
-  }
-  if (!EnsureAncestry(it->second.hash, LeaderOf(it->second.view))) {
-    return;
-  }
-  BuildAndBroadcastProposal(w, store_.Get(it->second.hash), nullptr, &it->second);
-}
-
-void DamysusReplica::TryProposeFromViewCerts(View w) {
-  if (LeaderOf(w) != id() || w < cur_view_ || proposed_hash_.count(w) > 0) {
-    return;
-  }
-  auto it = view_certs_.find(w);
-  if (it == view_certs_.end() || it->second.size() < quorum()) {
-    return;
-  }
-  if (checker_->vi() < w) {
-    AdvanceViaNewView(w);
-    if (checker_->vi() != w) {
-      return;
-    }
-  }
-  const SignedCert* best = nullptr;
-  for (const SignedCert& cert : it->second) {
-    if (best == nullptr || cert.view > best->view) {
-      best = &cert;
-    }
-  }
-  if (!EnsureAncestry(best->hash, best->sig.signer)) {
-    return;
-  }
-  const auto acc = checker_->TdAccum(it->second);
-  if (!acc) {
-    return;
-  }
-  BuildAndBroadcastProposal(w, store_.Get(best->hash), &*acc, nullptr);
-}
-
-void DamysusReplica::BuildAndBroadcastProposal(View w, const BlockPtr& parent,
-                                               const AccumulatorCert* acc,
-                                               const QuorumCert* commit_qc) {
-  std::vector<Transaction> batch = mempool_.TakeBatch(params().batch_size);
-  ChargeExecute(batch.size());
-  const BlockPtr block = Block::Create(w, parent, std::move(batch), LocalNow());
-  ChargeHashBytes(block->WireSize());
-  std::optional<SignedCert> cert;
-  if (acc != nullptr) {
-    cert = checker_->TdPrepare(*block, *acc);
-  } else {
-    cert = checker_->TdPrepare(*block, *commit_qc);
-  }
-  if (!cert) {
-    return;
-  }
-  if (w > cur_view_) {
-    cur_view_ = w;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-  proposed_hash_[w] = block->hash;
-  store_.Add(block);
-  MarkProposed(block);
-  PruneBelow(proposed_hash_, cur_view_);
-  PruneBelow(view_certs_, cur_view_);
-  PruneBelow(vote1_, cur_view_);
-  PruneBelow(vote2_, cur_view_);
-  PruneBelow(commit_certs_, cur_view_);
-
+MessageRef DamysusReplica::MakePropose(const BlockPtr& block,
+                                       const SignedCert& prep_cert) const {
   auto msg = std::make_shared<DamProposeMsg>();
   msg->block = block;
-  msg->prep_cert = *cert;
-  // The leader votes for its own block too (self-delivery): with f Byzantine backups the
-  // f+1 first-phase quorum must be reachable from the leader plus f correct backups.
-  BroadcastToReplicas(msg, /*include_self=*/true);
+  msg->prep_cert = prep_cert;
+  return msg;
+}
+
+MessageRef DamysusReplica::MakeDecide(QuorumCert commit_qc) const {
+  auto msg = std::make_shared<DamDecideMsg>();
+  msg->commit_qc = std::move(commit_qc);
+  return msg;
 }
 
 void DamysusReplica::OnPropose(NodeId from,
                                const std::shared_ptr<const DamProposeMsg>& msg) {
-  if (msg->block == nullptr) {
-    return;
-  }
-  const View v = msg->prep_cert.view;
-  if (v < checker_->vi() || msg->block->hash != msg->prep_cert.hash ||
-      msg->block->view != v) {
-    return;
-  }
-  if (!AcceptBlock(msg->block)) {
-    return;
-  }
-  if (!EnsureAncestry(msg->block->hash, from)) {
-    pending_proposals_.emplace_back(from, msg);
+  if (!AdmitProposal(from, msg, msg->block, msg->prep_cert)) {
     return;
   }
   const auto vote = checker_->TdVote(msg->prep_cert);
   if (!vote) {
     return;
   }
-  if (v > cur_view_) {
-    cur_view_ = v;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(cur_view_, 0);
+  const View v = msg->prep_cert.view;
+  NoteProgress(v);
   auto out = std::make_shared<DamVote1Msg>();
   out->vote = *vote;
   SendTo(LeaderOf(v), out);
 }
 
-void DamysusReplica::OnVote1(const DamVote1Msg& msg) {
-  const View v = msg.vote.view;
-  if (LeaderOf(v) != id() || highest_precommit_ >= v) {
-    return;
-  }
-  auto proposed = proposed_hash_.find(v);
-  if (proposed == proposed_hash_.end() || msg.vote.hash != proposed->second) {
-    return;
-  }
-  ChargeVerifyPlain(1);
-  const Bytes digest = msg.vote.Digest(kDamVote1);
-  if (!platform().suite().Verify(msg.vote.sig, ByteView(digest.data(), digest.size()))) {
-    return;
-  }
-  std::vector<SignedCert>& votes = vote1_[v];
-  for (const SignedCert& existing : votes) {
-    if (existing.sig.signer == msg.vote.sig.signer) {
-      return;
-    }
-  }
-  votes.push_back(msg.vote);
-  CritNote(0, v);
-  if (votes.size() < quorum()) {
-    return;
-  }
-  CritJoin(0, v);
-  highest_precommit_ = v;
-  auto out = std::make_shared<DamPreCommitMsg>();
-  out->prepared_qc.hash = proposed->second;
-  out->prepared_qc.view = v;
-  for (const SignedCert& vote : votes) {
-    out->prepared_qc.sigs.push_back(vote.sig);
-  }
-  BroadcastToReplicas(out, /*include_self=*/true);
-}
-
-void DamysusReplica::OnPreCommit(NodeId from,
-                                 const std::shared_ptr<const DamPreCommitMsg>& msg) {
-  const QuorumCert& qc = msg->prepared_qc;
+void DamysusReplica::OnPreCommit(NodeId from, const DamPreCommitMsg& msg) {
+  const QuorumCert& qc = msg.prepared_qc;
   if (qc.view < checker_->vi()) {
     return;
   }
@@ -268,107 +99,6 @@ void DamysusReplica::OnPreCommit(NodeId from,
   auto out = std::make_shared<DamVote2Msg>();
   out->vote = *vote;
   SendTo(LeaderOf(qc.view), out);
-}
-
-void DamysusReplica::OnVote2(const DamVote2Msg& msg) {
-  const View v = msg.vote.view;
-  if (LeaderOf(v) != id() || highest_decided_ >= v) {
-    return;
-  }
-  auto proposed = proposed_hash_.find(v);
-  if (proposed == proposed_hash_.end() || msg.vote.hash != proposed->second) {
-    return;
-  }
-  ChargeVerifyPlain(1);
-  const Bytes digest = msg.vote.Digest(kDamVote2);
-  if (!platform().suite().Verify(msg.vote.sig, ByteView(digest.data(), digest.size()))) {
-    return;
-  }
-  std::vector<SignedCert>& votes = vote2_[v];
-  for (const SignedCert& existing : votes) {
-    if (existing.sig.signer == msg.vote.sig.signer) {
-      return;
-    }
-  }
-  votes.push_back(msg.vote);
-  CritNote(1, v);
-  if (votes.size() < quorum()) {
-    return;
-  }
-  CritJoin(1, v);
-  highest_decided_ = v;
-  auto out = std::make_shared<DamDecideMsg>();
-  out->commit_qc.hash = proposed->second;
-  out->commit_qc.view = v;
-  for (const SignedCert& vote : votes) {
-    out->commit_qc.sigs.push_back(vote.sig);
-  }
-  BroadcastToReplicas(out, /*include_self=*/true);
-}
-
-void DamysusReplica::OnDecide(NodeId from, const std::shared_ptr<const DamDecideMsg>& msg) {
-  const QuorumCert& qc = msg->commit_qc;
-  BlockPtr block = store_.Get(qc.hash);
-  if (block != nullptr && block->height <= last_committed_height_) {
-    return;
-  }
-  ChargeVerifyBatch(qc.sigs.size());
-  if (!qc.Verify(platform().suite(), kDamVote2, quorum())) {
-    return;
-  }
-  if (block == nullptr) {
-    pending_decides_.emplace_back(from, msg);
-    RequestBlock(from, qc.hash);
-    return;
-  }
-  if (!EnsureAncestry(qc.hash, from) && block->height <= last_committed_height_ + 64) {
-    pending_decides_.emplace_back(from, msg);
-    return;
-  }
-  CommitChain(block, qc.WireSize());
-  if (latest_committed_.block == nullptr || block->view > latest_committed_.block->view) {
-    latest_committed_ = StoredBlock{block, qc};
-  }
-  if (LeaderOf(qc.view + 1) == id()) {
-    commit_certs_[qc.view + 1] = qc;
-    TryProposeFromCommit(qc.view + 1);
-  }
-  EnterViewAfterCommit(qc.view + 1, msg);
-}
-
-void DamysusReplica::OnNewView(const DamNewViewMsg& msg) {
-  const View w = msg.view_cert.aux;
-  if (LeaderOf(w) != id() || w + kPruneHorizon < cur_view_ || proposed_hash_.count(w) > 0) {
-    return;
-  }
-  ChargeVerifyPlain(1);
-  const Bytes digest = msg.view_cert.Digest(kDamNewView);
-  if (!platform().suite().Verify(msg.view_cert.sig, ByteView(digest.data(), digest.size()))) {
-    return;
-  }
-  std::vector<SignedCert>& certs = view_certs_[w];
-  for (const SignedCert& existing : certs) {
-    if (existing.sig.signer == msg.view_cert.sig.signer) {
-      return;
-    }
-  }
-  certs.push_back(msg.view_cert);
-  TryProposeFromViewCerts(w);
-}
-
-void DamysusReplica::OnBlocksSynced() {
-  auto proposals = std::move(pending_proposals_);
-  pending_proposals_.clear();
-  for (auto& [from, msg] : proposals) {
-    OnPropose(from, msg);
-  }
-  auto decides = std::move(pending_decides_);
-  pending_decides_.clear();
-  for (auto& [from, msg] : decides) {
-    OnDecide(from, msg);
-  }
-  TryProposeFromCommit(cur_view_);
-  TryProposeFromViewCerts(cur_view_);
 }
 
 }  // namespace achilles

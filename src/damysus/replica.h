@@ -5,16 +5,15 @@
 #ifndef SRC_DAMYSUS_REPLICA_H_
 #define SRC_DAMYSUS_REPLICA_H_
 
-#include <map>
-#include <vector>
+#include <memory>
 
-#include "src/consensus/replica_base.h"
+#include "src/consensus/chained_replica.h"
 #include "src/damysus/checker.h"
 #include "src/damysus/messages.h"
 
 namespace achilles {
 
-class DamysusReplica : public ReplicaBase {
+class DamysusReplica : public ChainedReplica {
  public:
   DamysusReplica(const ReplicaContext& ctx, bool initial_launch);
 
@@ -22,7 +21,6 @@ class DamysusReplica : public ReplicaBase {
 
   // True when restore after reboot failed (detected rollback in -R): crash-stop.
   bool halted() const { return checker_ == nullptr; }
-  View current_view() const { return cur_view_; }
   const DamysusChecker* checker() const { return checker_.get(); }
 
   InvariantSnapshot Invariants() const override {
@@ -37,44 +35,30 @@ class DamysusReplica : public ReplicaBase {
 
  protected:
   void HandleMessage(NodeId from, const MessageRef& msg) override;
-  void OnViewTimeout(View view) override;
-  void OnBlocksSynced() override;
+
+  // ChainedReplica hooks.
+  bool Active() const override { return !halted(); }
+  View TrustedView() const override { return checker_->vi(); }
+  std::optional<SignedCert> TrustedNewView(View target) override {
+    return checker_->TdNewView(target);
+  }
+  std::optional<AccumulatorCert> TrustedAccum(const std::vector<SignedCert>& certs) override {
+    return checker_->TdAccum(certs);
+  }
+  std::optional<SignedCert> TrustedPrepare(const Block& block, const AccumulatorCert* acc,
+                                           const QuorumCert* commit_qc) override {
+    return acc != nullptr ? checker_->TdPrepare(block, *acc)
+                          : checker_->TdPrepare(block, *commit_qc);
+  }
+  MessageRef MakeNewView(const SignedCert& view_cert) const override;
+  MessageRef MakePropose(const BlockPtr& block, const SignedCert& prep_cert) const override;
+  MessageRef MakeDecide(QuorumCert commit_qc) const override;
 
  private:
   void OnPropose(NodeId from, const std::shared_ptr<const DamProposeMsg>& msg);
-  void OnVote1(const DamVote1Msg& msg);
-  void OnPreCommit(NodeId from, const std::shared_ptr<const DamPreCommitMsg>& msg);
-  void OnVote2(const DamVote2Msg& msg);
-  void OnDecide(NodeId from, const std::shared_ptr<const DamDecideMsg>& msg);
-  void OnNewView(const DamNewViewMsg& msg);
-
-  void TryProposeFromCommit(View w);
-  void TryProposeFromViewCerts(View w);
-  void BuildAndBroadcastProposal(View w, const BlockPtr& parent,
-                                 const AccumulatorCert* acc, const QuorumCert* commit_qc);
-  void AdvanceViaNewView(View target);
-  void EnterViewAfterCommit(View new_view, const std::shared_ptr<const DamDecideMsg>& msg);
+  void OnPreCommit(NodeId from, const DamPreCommitMsg& msg);
 
   std::unique_ptr<DamysusChecker> checker_;
-  View cur_view_ = 0;
-  uint32_t consecutive_timeouts_ = 0;
-
-  struct StoredBlock {
-    BlockPtr block;
-    QuorumCert commit_qc;
-  };
-  StoredBlock latest_committed_;
-
-  std::map<View, std::vector<SignedCert>> vote1_;
-  std::map<View, std::vector<SignedCert>> vote2_;
-  std::map<View, std::vector<SignedCert>> view_certs_;
-  std::map<View, Hash256> proposed_hash_;
-  std::map<View, QuorumCert> commit_certs_;
-  View highest_precommit_ = 0;
-  View highest_decided_ = 0;
-
-  std::vector<std::pair<NodeId, std::shared_ptr<const DamProposeMsg>>> pending_proposals_;
-  std::vector<std::pair<NodeId, std::shared_ptr<const DamDecideMsg>>> pending_decides_;
 };
 
 }  // namespace achilles

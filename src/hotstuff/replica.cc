@@ -7,15 +7,7 @@
 namespace achilles {
 
 namespace {
-constexpr View kPruneHorizon = 8;
 constexpr const char* kStateKey = "hotstuff-qc";
-
-template <typename MapT>
-void PruneBelow(MapT& map, View horizon) {
-  while (!map.empty() && map.begin()->first + kPruneHorizon < horizon) {
-    map.erase(map.begin());
-  }
-}
 
 void WriteQc(ByteWriter& w, const QuorumCert& qc) {
   w.Raw(ByteView(qc.hash.data(), qc.hash.size()));

@@ -1,126 +1,19 @@
 #include "src/oneshot/checker.h"
 
-#include "src/common/serde.h"
-
 namespace achilles {
 
-namespace {
-constexpr const char* kSealSlot = "oneshot-checker";
-}
-
-OneShotChecker::OneShotChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f)
-    : OneShotChecker(enclave, n, f, /*restored=*/false) {
-  PersistState();
-}
-
-OneShotChecker::OneShotChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f,
-                               bool /*restored*/)
-    : enclave_(enclave), n_(n), f_(f) {
-  preph_ = Block::Genesis()->hash;
-}
+OneShotChecker::OneShotChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f, bool restored)
+    : SealedVoteChecker(enclave, n, f, "oneshot-checker",
+                        {kOsPrep, kOsVote1, kOsCommit, kOsNewView, kOsAcc}, restored) {}
 
 std::unique_ptr<OneShotChecker> OneShotChecker::Restore(EnclaveRuntime* enclave, uint32_t n,
                                                         uint32_t f,
                                                         bool break_restore_verify) {
-  enclave->ChargeEcall();
-  persist::OpenResult opened = enclave->defense().Open(kSealSlot, !break_restore_verify);
-  if (opened.status == persist::OpenStatus::kRolledBack) {
-    enclave->platform().host().JournalEvent(obs::JournalKind::kRollbackReject,
-                                            opened.version, opened.expected_version,
-                                            kSealSlot);
-    return nullptr;  // Rollback detected.
-  }
-  if (!opened.record) {
+  std::unique_ptr<OneShotChecker> checker(new OneShotChecker(enclave, n, f, /*restored=*/true));
+  if (!checker->LoadSealed(break_restore_verify)) {
     return nullptr;
   }
-  ByteReader r(ByteView(opened.record->data(), opened.record->size()));
-  const auto vi = r.U64();
-  const auto flags = r.U8();
-  const auto prepv = r.U64();
-  const auto preph = r.Raw(32);
-  if (!vi || !flags || !prepv || !preph || r.remaining() != 0) {
-    return nullptr;
-  }
-  auto checker =
-      std::unique_ptr<OneShotChecker>(new OneShotChecker(enclave, n, f, /*restored=*/true));
-  checker->vi_ = *vi;
-  checker->flag_ = (*flags & 1) != 0;
-  checker->voted1_ = (*flags & 2) != 0;
-  checker->voted2_ = (*flags & 4) != 0;
-  checker->prepv_ = *prepv;
-  std::copy(preph->begin(), preph->end(), checker->preph_.begin());
-  checker->version_ = opened.version;
   return checker;
-}
-
-void OneShotChecker::PersistState() {
-  ByteWriter w;
-  w.U64(vi_);
-  w.U8(static_cast<uint8_t>((flag_ ? 1 : 0) | (voted1_ ? 2 : 0) | (voted2_ ? 4 : 0)));
-  w.U64(prepv_);
-  w.Raw(ByteView(preph_.data(), preph_.size()));
-  // Backend assigns the version, binds it to the blob, and pays the defense cost (counter
-  // write / quorum round trip).
-  version_ = enclave_->defense().Persist(kSealSlot, ByteView(w.bytes().data(), w.bytes().size()));
-}
-
-void OneShotChecker::AdvanceTo(View v) {
-  if (v > vi_) {
-    vi_ = v;
-    flag_ = false;
-    voted1_ = false;
-    voted2_ = false;
-  }
-}
-
-SignedCert OneShotChecker::SignTuple(const char* domain, const Hash256& hash, View view,
-                                     uint64_t aux) {
-  SignedCert cert;
-  cert.hash = hash;
-  cert.view = view;
-  cert.aux = aux;
-  enclave_->ChargeSign();
-  const Bytes digest = cert.Digest(domain);
-  cert.sig = enclave_->Sign(ByteView(digest.data(), digest.size()));
-  return cert;
-}
-
-std::optional<SignedCert> OneShotChecker::ToPrepareFast(const Block& b,
-                                                        const QuorumCert& commit_qc) {
-  enclave_->ChargeEcall();
-  const View new_view = commit_qc.view + 1;
-  if (new_view < vi_ || (new_view == vi_ && flag_)) {
-    return std::nullopt;
-  }
-  enclave_->ChargeVerifyBatch(commit_qc.sigs.size());
-  if (!commit_qc.Verify(enclave_->platform().suite(), kOsCommit,
-                        static_cast<size_t>(f_) + 1) ||
-      b.parent != commit_qc.hash || b.view != new_view) {
-    return std::nullopt;
-  }
-  AdvanceTo(new_view);
-  flag_ = true;
-  PersistState();
-  // aux = 1 marks the fast path: backups may single-phase store this certificate.
-  return SignTuple(kOsPrep, b.hash, vi_, /*aux=*/1);
-}
-
-std::optional<SignedCert> OneShotChecker::ToPrepareSlow(const Block& b,
-                                                        const AccumulatorCert& acc) {
-  enclave_->ChargeEcall();
-  if (acc.current_view != vi_ || flag_ ||
-      acc.sig.signer != enclave_->platform().node_id()) {
-    return std::nullopt;
-  }
-  enclave_->ChargeVerify(1);
-  const Bytes digest = acc.Digest(kOsAcc);
-  if (!enclave_->Verify(acc.sig, ByteView(digest.data(), digest.size())) ||
-      b.parent != acc.hash || b.view != vi_) {
-    return std::nullopt;
-  }
-  flag_ = true;
-  PersistState();
-  return SignTuple(kOsPrep, b.hash, vi_, /*aux=*/0);
 }
 
 std::optional<SignedCert> OneShotChecker::ToStoreFast(const SignedCert& prep_cert) {
@@ -142,91 +35,6 @@ std::optional<SignedCert> OneShotChecker::ToStoreFast(const SignedCert& prep_cer
   preph_ = prep_cert.hash;
   PersistState();
   return SignTuple(kOsCommit, prep_cert.hash, v);
-}
-
-std::optional<SignedCert> OneShotChecker::ToVote(const SignedCert& prep_cert) {
-  enclave_->ChargeEcall();
-  const View v = prep_cert.view;
-  if (v < vi_ || (v == vi_ && voted1_) ||
-      prep_cert.sig.signer != LeaderOfView(v, n_)) {
-    return std::nullopt;
-  }
-  enclave_->ChargeVerify(1);
-  const Bytes digest = prep_cert.Digest(kOsPrep);
-  if (!enclave_->Verify(prep_cert.sig, ByteView(digest.data(), digest.size()))) {
-    return std::nullopt;
-  }
-  AdvanceTo(v);
-  voted1_ = true;
-  PersistState();
-  return SignTuple(kOsVote1, prep_cert.hash, v);
-}
-
-std::optional<SignedCert> OneShotChecker::ToStoreSlow(const QuorumCert& prepared_qc) {
-  enclave_->ChargeEcall();
-  const View v = prepared_qc.view;
-  if (v < vi_ || (v == vi_ && voted2_)) {
-    return std::nullopt;
-  }
-  enclave_->ChargeVerifyBatch(prepared_qc.sigs.size());
-  if (!prepared_qc.Verify(enclave_->platform().suite(), kOsVote1,
-                          static_cast<size_t>(f_) + 1)) {
-    return std::nullopt;
-  }
-  AdvanceTo(v);
-  voted2_ = true;
-  prepv_ = v;
-  preph_ = prepared_qc.hash;
-  PersistState();
-  return SignTuple(kOsCommit, prepared_qc.hash, v);
-}
-
-std::optional<SignedCert> OneShotChecker::ToNewView(View target) {
-  enclave_->ChargeEcall();
-  if (target <= vi_) {
-    return std::nullopt;
-  }
-  AdvanceTo(target);
-  PersistState();
-  return SignTuple(kOsNewView, preph_, prepv_, /*aux=*/target);
-}
-
-std::optional<AccumulatorCert> OneShotChecker::ToAccum(
-    const std::vector<SignedCert>& view_certs) {
-  enclave_->ChargeEcall();
-  if (view_certs.size() < static_cast<size_t>(f_) + 1) {
-    return std::nullopt;
-  }
-  enclave_->ChargeVerifyBatch(view_certs.size());
-  std::vector<NodeId> ids;
-  const SignedCert* best = nullptr;
-  for (const SignedCert& cert : view_certs) {
-    if (cert.aux != vi_) {
-      return std::nullopt;
-    }
-    const Bytes digest = cert.Digest(kOsNewView);
-    if (!enclave_->Verify(cert.sig, ByteView(digest.data(), digest.size()))) {
-      return std::nullopt;
-    }
-    for (NodeId seen : ids) {
-      if (seen == cert.sig.signer) {
-        return std::nullopt;
-      }
-    }
-    ids.push_back(cert.sig.signer);
-    if (best == nullptr || cert.view > best->view) {
-      best = &cert;
-    }
-  }
-  AccumulatorCert acc;
-  acc.hash = best->hash;
-  acc.block_view = best->view;
-  acc.current_view = vi_;
-  acc.ids = std::move(ids);
-  enclave_->ChargeSign();
-  const Bytes digest = acc.Digest(kOsAcc);
-  acc.sig = enclave_->Sign(ByteView(digest.data(), digest.size()));
-  return acc;
 }
 
 }  // namespace achilles

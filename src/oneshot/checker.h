@@ -9,9 +9,7 @@
 #include <optional>
 #include <vector>
 
-#include "src/consensus/certificates.h"
-#include "src/consensus/types.h"
-#include "src/tee/enclave.h"
+#include "src/consensus/checker_core.h"
 
 namespace achilles {
 
@@ -21,54 +19,42 @@ inline constexpr const char* kOsCommit = "oneshot/COMMIT";  // Fast store votes 
 inline constexpr const char* kOsNewView = "oneshot/NEW-VIEW";
 inline constexpr const char* kOsAcc = "oneshot/ACC";
 
-class OneShotChecker {
+class OneShotChecker : public SealedVoteChecker {
  public:
-  OneShotChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f);
+  OneShotChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f)
+      : OneShotChecker(enclave, n, f, /*restored=*/false) {}
 
   // Restore-from-backend after reboot (same semantics as DamysusChecker::Restore).
   static std::unique_ptr<OneShotChecker> Restore(EnclaveRuntime* enclave, uint32_t n,
                                                  uint32_t f,
                                                  bool break_restore_verify = false);
 
-  View vi() const { return vi_; }
-  View prepv() const { return prepv_; }
-  const Hash256& preph() const { return preph_; }
-  // Backend-assigned state version; equals the persistent counter in -R under the local
-  // backend (chaos counter oracle).
-  uint64_t version() const { return version_; }
-
   // Leader, fast path: certify a block extending the block committed at commit_qc.view.
-  std::optional<SignedCert> ToPrepareFast(const Block& b, const QuorumCert& commit_qc);
+  // aux = 1 on the certificate marks the fast path: backups may single-phase store it.
+  std::optional<SignedCert> ToPrepareFast(const Block& b, const QuorumCert& commit_qc) {
+    return PrepareFromCommit(b, commit_qc, /*aux=*/1);
+  }
   // Leader, slow path: certify a block extending the accumulator's selection.
-  std::optional<SignedCert> ToPrepareSlow(const Block& b, const AccumulatorCert& acc);
+  std::optional<SignedCert> ToPrepareSlow(const Block& b, const AccumulatorCert& acc) {
+    return PrepareFromAcc(b, acc);
+  }
 
   // Backup, fast path: single-phase store+vote on the leader's certificate.
   std::optional<SignedCert> ToStoreFast(const SignedCert& prep_cert);
 
   // Slow path, two phases.
-  std::optional<SignedCert> ToVote(const SignedCert& prep_cert);
-  std::optional<SignedCert> ToStoreSlow(const QuorumCert& prepared_qc);
+  std::optional<SignedCert> ToVote(const SignedCert& prep_cert) { return VoteFirst(prep_cert); }
+  std::optional<SignedCert> ToStoreSlow(const QuorumCert& prepared_qc) {
+    return StorePrepared(prepared_qc);
+  }
 
-  std::optional<SignedCert> ToNewView(View target);
-  std::optional<AccumulatorCert> ToAccum(const std::vector<SignedCert>& view_certs);
+  std::optional<SignedCert> ToNewView(View target) { return NewView(target); }
+  std::optional<AccumulatorCert> ToAccum(const std::vector<SignedCert>& view_certs) {
+    return Accum(view_certs);
+  }
 
  private:
   OneShotChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f, bool restored);
-  void PersistState();
-  void AdvanceTo(View v);
-  SignedCert SignTuple(const char* domain, const Hash256& hash, View view, uint64_t aux = 0);
-
-  EnclaveRuntime* enclave_;
-  uint32_t n_;
-  uint32_t f_;
-
-  View vi_ = 0;
-  bool flag_ = false;
-  bool voted1_ = false;
-  bool voted2_ = false;
-  View prepv_ = 0;
-  Hash256 preph_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace achilles

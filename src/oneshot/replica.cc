@@ -4,19 +4,8 @@
 
 namespace achilles {
 
-namespace {
-constexpr View kPruneHorizon = 8;
-
-template <typename MapT>
-void PruneBelow(MapT& map, View horizon) {
-  while (!map.empty() && map.begin()->first + kPruneHorizon < horizon) {
-    map.erase(map.begin());
-  }
-}
-}  // namespace
-
 OneShotReplica::OneShotReplica(const ReplicaContext& ctx, bool initial_launch)
-    : ReplicaBase(ctx) {
+    : ChainedReplica(ctx, {kOsNewView, kOsCommit}) {
   if (initial_launch) {
     checker_ = std::make_unique<OneShotChecker>(&enclave(), ctx.params.n, ctx.params.f);
   } else {
@@ -41,174 +30,69 @@ void OneShotReplica::HandleMessage(NodeId from, const MessageRef& msg) {
   if (auto propose = std::dynamic_pointer_cast<const OsProposeMsg>(msg)) {
     OnPropose(from, propose);
   } else if (auto v1 = std::dynamic_pointer_cast<const OsVote1Msg>(msg)) {
-    OnVote1(*v1);
+    if (auto prepared_qc = CollectVote(0, v1->vote, kOsVote1)) {
+      auto out = std::make_shared<OsPreCommitMsg>();
+      out->prepared_qc = std::move(*prepared_qc);
+      BroadcastToReplicas(out, /*include_self=*/true);
+    }
   } else if (auto pc = std::dynamic_pointer_cast<const OsPreCommitMsg>(msg)) {
-    OnPreCommit(from, pc);
+    OnPreCommit(from, *pc);
   } else if (auto cv = std::dynamic_pointer_cast<const OsCommitVoteMsg>(msg)) {
-    OnCommitVote(*cv);
+    if (auto commit_qc = CollectVote(1, cv->vote, kOsCommit)) {
+      BroadcastToReplicas(MakeDecide(std::move(*commit_qc)), /*include_self=*/true);
+    }
   } else if (auto decide = std::dynamic_pointer_cast<const OsDecideMsg>(msg)) {
-    OnDecide(from, decide);
+    OnDecide(from, msg, decide->commit_qc);
   } else if (auto nv = std::dynamic_pointer_cast<const OsNewViewMsg>(msg)) {
-    OnNewView(*nv);
+    OnNewView(nv->view_cert);
   }
 }
 
-void OneShotReplica::AdvanceViaNewView(View target) {
-  const auto cert = checker_->ToNewView(target);
-  if (!cert) {
-    return;
+std::optional<SignedCert> OneShotReplica::TrustedPrepare(const Block& block,
+                                                         const AccumulatorCert* acc,
+                                                         const QuorumCert* commit_qc) {
+  if (acc != nullptr) {
+    auto cert = checker_->ToPrepareSlow(block, *acc);
+    slow_views_ += cert ? 1 : 0;
+    return cert;
   }
-  if (target > cur_view_) {
-    cur_view_ = target;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-  ArmViewTimer(cur_view_, consecutive_timeouts_);
+  auto cert = checker_->ToPrepareFast(block, *commit_qc);
+  fast_views_ += cert ? 1 : 0;
+  return cert;
+}
+
+MessageRef OneShotReplica::MakeNewView(const SignedCert& view_cert) const {
   auto msg = std::make_shared<OsNewViewMsg>();
-  msg->view_cert = *cert;
-  SendTo(LeaderOf(target), msg);
+  msg->view_cert = view_cert;
+  return msg;
 }
 
-void OneShotReplica::OnViewTimeout(View view) {
-  if (checker_ == nullptr || view != cur_view_) {
-    return;
-  }
-  ++consecutive_timeouts_;
-  AdvanceViaNewView(cur_view_ + 1);
-}
-
-void OneShotReplica::EnterViewAfterCommit(View new_view,
-                                          const std::shared_ptr<const OsDecideMsg>& msg) {
-  if (new_view <= cur_view_) {
-    return;
-  }
-  cur_view_ = new_view;
-  JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(cur_view_, 0);
-  const NodeId next_leader = LeaderOf(new_view);
-  if (next_leader == id()) {
-    commit_certs_[new_view] = msg->commit_qc;
-    TryProposeFast(new_view);
-  } else {
-    SendTo(next_leader, msg);
-  }
-}
-
-void OneShotReplica::TryProposeFast(View w) {
-  if (LeaderOf(w) != id() || w < cur_view_ || proposed_hash_.count(w) > 0) {
-    return;
-  }
-  auto it = commit_certs_.find(w);
-  if (it == commit_certs_.end()) {
-    return;
-  }
-  if (!EnsureAncestry(it->second.hash, LeaderOf(it->second.view))) {
-    return;
-  }
-  const BlockPtr parent = store_.Get(it->second.hash);
-  std::vector<Transaction> batch = mempool_.TakeBatch(params().batch_size);
-  ChargeExecute(batch.size());
-  const BlockPtr block = Block::Create(w, parent, std::move(batch), LocalNow());
-  ChargeHashBytes(block->WireSize());
-  const auto cert = checker_->ToPrepareFast(*block, it->second);
-  if (!cert) {
-    return;
-  }
-  ++fast_views_;
-  FinishProposal(w, block, *cert, /*fast=*/true);
-}
-
-void OneShotReplica::TryProposeSlow(View w) {
-  if (LeaderOf(w) != id() || w < cur_view_ || proposed_hash_.count(w) > 0) {
-    return;
-  }
-  auto it = view_certs_.find(w);
-  if (it == view_certs_.end() || it->second.size() < quorum()) {
-    return;
-  }
-  if (checker_->vi() < w) {
-    AdvanceViaNewView(w);
-    if (checker_->vi() != w) {
-      return;
-    }
-  }
-  const SignedCert* best = nullptr;
-  for (const SignedCert& cert : it->second) {
-    if (best == nullptr || cert.view > best->view) {
-      best = &cert;
-    }
-  }
-  if (!EnsureAncestry(best->hash, best->sig.signer)) {
-    return;
-  }
-  const auto acc = checker_->ToAccum(it->second);
-  if (!acc) {
-    return;
-  }
-  const BlockPtr parent = store_.Get(best->hash);
-  std::vector<Transaction> batch = mempool_.TakeBatch(params().batch_size);
-  ChargeExecute(batch.size());
-  const BlockPtr block = Block::Create(w, parent, std::move(batch), LocalNow());
-  ChargeHashBytes(block->WireSize());
-  const auto cert = checker_->ToPrepareSlow(*block, *acc);
-  if (!cert) {
-    return;
-  }
-  ++slow_views_;
-  FinishProposal(w, block, *cert, /*fast=*/false);
-}
-
-void OneShotReplica::FinishProposal(View w, const BlockPtr& block, const SignedCert& cert,
-                                    bool fast) {
-  if (w > cur_view_) {
-    cur_view_ = w;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-  proposed_hash_[w] = block->hash;
-  store_.Add(block);
-  MarkProposed(block);
-  PruneBelow(proposed_hash_, cur_view_);
-  PruneBelow(view_certs_, cur_view_);
-  PruneBelow(vote1_, cur_view_);
-  PruneBelow(commit_votes_, cur_view_);
-  PruneBelow(commit_certs_, cur_view_);
+MessageRef OneShotReplica::MakePropose(const BlockPtr& block,
+                                       const SignedCert& prep_cert) const {
   auto msg = std::make_shared<OsProposeMsg>();
   msg->block = block;
-  msg->prep_cert = cert;
-  // Self-delivery on both paths: the leader stores (fast) or first-votes (slow) its own
-  // block, keeping quorums reachable with f Byzantine backups.
-  BroadcastToReplicas(msg, /*include_self=*/true);
-  (void)fast;
+  msg->prep_cert = prep_cert;
+  return msg;
+}
+
+MessageRef OneShotReplica::MakeDecide(QuorumCert commit_qc) const {
+  auto msg = std::make_shared<OsDecideMsg>();
+  msg->commit_qc = std::move(commit_qc);
+  return msg;
 }
 
 void OneShotReplica::OnPropose(NodeId from, const std::shared_ptr<const OsProposeMsg>& msg) {
-  if (msg->block == nullptr) {
+  if (!AdmitProposal(from, msg, msg->block, msg->prep_cert)) {
     return;
   }
   const View v = msg->prep_cert.view;
-  if (v < checker_->vi() || msg->block->hash != msg->prep_cert.hash ||
-      msg->block->view != v) {
-    return;
-  }
-  if (!AcceptBlock(msg->block)) {
-    return;
-  }
-  if (!EnsureAncestry(msg->block->hash, from)) {
-    pending_proposals_.emplace_back(from, msg);
-    return;
-  }
   if (msg->prep_cert.aux == 1) {
     // Fast path: single-phase store.
     const auto vote = checker_->ToStoreFast(msg->prep_cert);
     if (!vote) {
       return;
     }
-    if (v > cur_view_) {
-      cur_view_ = v;
-      JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-    }
-    consecutive_timeouts_ = 0;
-    ArmViewTimer(cur_view_, 0);
+    NoteProgress(v);
     auto out = std::make_shared<OsCommitVoteMsg>();
     out->vote = *vote;
     SendTo(LeaderOf(v), out);
@@ -218,56 +102,14 @@ void OneShotReplica::OnPropose(NodeId from, const std::shared_ptr<const OsPropos
   if (!vote) {
     return;
   }
-  if (v > cur_view_) {
-    cur_view_ = v;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(cur_view_, 0);
+  NoteProgress(v);
   auto out = std::make_shared<OsVote1Msg>();
   out->vote = *vote;
   SendTo(LeaderOf(v), out);
 }
 
-void OneShotReplica::OnVote1(const OsVote1Msg& msg) {
-  const View v = msg.vote.view;
-  if (LeaderOf(v) != id() || highest_precommit_ >= v) {
-    return;
-  }
-  auto proposed = proposed_hash_.find(v);
-  if (proposed == proposed_hash_.end() || msg.vote.hash != proposed->second) {
-    return;
-  }
-  ChargeVerifyPlain(1);
-  const Bytes digest = msg.vote.Digest(kOsVote1);
-  if (!platform().suite().Verify(msg.vote.sig, ByteView(digest.data(), digest.size()))) {
-    return;
-  }
-  std::vector<SignedCert>& votes = vote1_[v];
-  for (const SignedCert& existing : votes) {
-    if (existing.sig.signer == msg.vote.sig.signer) {
-      return;
-    }
-  }
-  votes.push_back(msg.vote);
-  CritNote(0, v);
-  if (votes.size() < quorum()) {
-    return;
-  }
-  CritJoin(0, v);
-  highest_precommit_ = v;
-  auto out = std::make_shared<OsPreCommitMsg>();
-  out->prepared_qc.hash = proposed->second;
-  out->prepared_qc.view = v;
-  for (const SignedCert& vote : votes) {
-    out->prepared_qc.sigs.push_back(vote.sig);
-  }
-  BroadcastToReplicas(out, /*include_self=*/true);
-}
-
-void OneShotReplica::OnPreCommit(NodeId from,
-                                 const std::shared_ptr<const OsPreCommitMsg>& msg) {
-  const QuorumCert& qc = msg->prepared_qc;
+void OneShotReplica::OnPreCommit(NodeId from, const OsPreCommitMsg& msg) {
+  const QuorumCert& qc = msg.prepared_qc;
   if (qc.view < checker_->vi()) {
     return;
   }
@@ -282,104 +124,6 @@ void OneShotReplica::OnPreCommit(NodeId from,
   auto out = std::make_shared<OsCommitVoteMsg>();
   out->vote = *vote;
   SendTo(LeaderOf(qc.view), out);
-}
-
-void OneShotReplica::OnCommitVote(const OsCommitVoteMsg& msg) {
-  const View v = msg.vote.view;
-  if (LeaderOf(v) != id() || highest_decided_ >= v) {
-    return;
-  }
-  auto proposed = proposed_hash_.find(v);
-  if (proposed == proposed_hash_.end() || msg.vote.hash != proposed->second) {
-    return;
-  }
-  ChargeVerifyPlain(1);
-  const Bytes digest = msg.vote.Digest(kOsCommit);
-  if (!platform().suite().Verify(msg.vote.sig, ByteView(digest.data(), digest.size()))) {
-    return;
-  }
-  std::vector<SignedCert>& votes = commit_votes_[v];
-  for (const SignedCert& existing : votes) {
-    if (existing.sig.signer == msg.vote.sig.signer) {
-      return;
-    }
-  }
-  votes.push_back(msg.vote);
-  CritNote(1, v);
-  if (votes.size() < quorum()) {
-    return;
-  }
-  CritJoin(1, v);
-  highest_decided_ = v;
-  auto out = std::make_shared<OsDecideMsg>();
-  out->commit_qc.hash = proposed->second;
-  out->commit_qc.view = v;
-  for (const SignedCert& vote : votes) {
-    out->commit_qc.sigs.push_back(vote.sig);
-  }
-  BroadcastToReplicas(out, /*include_self=*/true);
-}
-
-void OneShotReplica::OnDecide(NodeId from, const std::shared_ptr<const OsDecideMsg>& msg) {
-  const QuorumCert& qc = msg->commit_qc;
-  BlockPtr block = store_.Get(qc.hash);
-  if (block != nullptr && block->height <= last_committed_height_) {
-    return;
-  }
-  ChargeVerifyBatch(qc.sigs.size());
-  if (!qc.Verify(platform().suite(), kOsCommit, quorum())) {
-    return;
-  }
-  if (block == nullptr) {
-    pending_decides_.emplace_back(from, msg);
-    RequestBlock(from, qc.hash);
-    return;
-  }
-  if (!EnsureAncestry(qc.hash, from) && block->height <= last_committed_height_ + 64) {
-    pending_decides_.emplace_back(from, msg);
-    return;
-  }
-  CommitChain(block, qc.WireSize());
-  if (LeaderOf(qc.view + 1) == id()) {
-    commit_certs_[qc.view + 1] = qc;
-    TryProposeFast(qc.view + 1);
-  }
-  EnterViewAfterCommit(qc.view + 1, msg);
-}
-
-void OneShotReplica::OnNewView(const OsNewViewMsg& msg) {
-  const View w = msg.view_cert.aux;
-  if (LeaderOf(w) != id() || w + kPruneHorizon < cur_view_ || proposed_hash_.count(w) > 0) {
-    return;
-  }
-  ChargeVerifyPlain(1);
-  const Bytes digest = msg.view_cert.Digest(kOsNewView);
-  if (!platform().suite().Verify(msg.view_cert.sig, ByteView(digest.data(), digest.size()))) {
-    return;
-  }
-  std::vector<SignedCert>& certs = view_certs_[w];
-  for (const SignedCert& existing : certs) {
-    if (existing.sig.signer == msg.view_cert.sig.signer) {
-      return;
-    }
-  }
-  certs.push_back(msg.view_cert);
-  TryProposeSlow(w);
-}
-
-void OneShotReplica::OnBlocksSynced() {
-  auto proposals = std::move(pending_proposals_);
-  pending_proposals_.clear();
-  for (auto& [from, msg] : proposals) {
-    OnPropose(from, msg);
-  }
-  auto decides = std::move(pending_decides_);
-  pending_decides_.clear();
-  for (auto& [from, msg] : decides) {
-    OnDecide(from, msg);
-  }
-  TryProposeFast(cur_view_);
-  TryProposeSlow(cur_view_);
 }
 
 }  // namespace achilles

@@ -4,22 +4,20 @@
 #ifndef SRC_ONESHOT_REPLICA_H_
 #define SRC_ONESHOT_REPLICA_H_
 
-#include <map>
-#include <vector>
+#include <memory>
 
-#include "src/consensus/replica_base.h"
+#include "src/consensus/chained_replica.h"
 #include "src/oneshot/checker.h"
 #include "src/oneshot/messages.h"
 
 namespace achilles {
 
-class OneShotReplica : public ReplicaBase {
+class OneShotReplica : public ChainedReplica {
  public:
   OneShotReplica(const ReplicaContext& ctx, bool initial_launch);
 
   void OnStart() override;
   bool halted() const { return checker_ == nullptr; }
-  View current_view() const { return cur_view_; }
   uint64_t fast_views() const { return fast_views_; }
   uint64_t slow_views() const { return slow_views_; }
 
@@ -35,39 +33,30 @@ class OneShotReplica : public ReplicaBase {
 
  protected:
   void HandleMessage(NodeId from, const MessageRef& msg) override;
-  void OnViewTimeout(View view) override;
-  void OnBlocksSynced() override;
+
+  // ChainedReplica hooks. A block built on the previous view's commit certificate takes
+  // the fast path, one built on f+1 NEW-VIEW certificates the slow one.
+  bool Active() const override { return !halted(); }
+  View TrustedView() const override { return checker_->vi(); }
+  std::optional<SignedCert> TrustedNewView(View target) override {
+    return checker_->ToNewView(target);
+  }
+  std::optional<AccumulatorCert> TrustedAccum(const std::vector<SignedCert>& certs) override {
+    return checker_->ToAccum(certs);
+  }
+  std::optional<SignedCert> TrustedPrepare(const Block& block, const AccumulatorCert* acc,
+                                           const QuorumCert* commit_qc) override;
+  MessageRef MakeNewView(const SignedCert& view_cert) const override;
+  MessageRef MakePropose(const BlockPtr& block, const SignedCert& prep_cert) const override;
+  MessageRef MakeDecide(QuorumCert commit_qc) const override;
 
  private:
   void OnPropose(NodeId from, const std::shared_ptr<const OsProposeMsg>& msg);
-  void OnVote1(const OsVote1Msg& msg);
-  void OnPreCommit(NodeId from, const std::shared_ptr<const OsPreCommitMsg>& msg);
-  void OnCommitVote(const OsCommitVoteMsg& msg);
-  void OnDecide(NodeId from, const std::shared_ptr<const OsDecideMsg>& msg);
-  void OnNewView(const OsNewViewMsg& msg);
-
-  void TryProposeFast(View w);
-  void TryProposeSlow(View w);
-  void FinishProposal(View w, const BlockPtr& block, const SignedCert& cert, bool fast);
-  void AdvanceViaNewView(View target);
-  void EnterViewAfterCommit(View new_view, const std::shared_ptr<const OsDecideMsg>& msg);
+  void OnPreCommit(NodeId from, const OsPreCommitMsg& msg);
 
   std::unique_ptr<OneShotChecker> checker_;
-  View cur_view_ = 0;
-  uint32_t consecutive_timeouts_ = 0;
   uint64_t fast_views_ = 0;
   uint64_t slow_views_ = 0;
-
-  std::map<View, std::vector<SignedCert>> vote1_;
-  std::map<View, std::vector<SignedCert>> commit_votes_;
-  std::map<View, std::vector<SignedCert>> view_certs_;
-  std::map<View, Hash256> proposed_hash_;
-  std::map<View, QuorumCert> commit_certs_;
-  View highest_precommit_ = 0;
-  View highest_decided_ = 0;
-
-  std::vector<std::pair<NodeId, std::shared_ptr<const OsProposeMsg>>> pending_proposals_;
-  std::vector<std::pair<NodeId, std::shared_ptr<const OsDecideMsg>>> pending_decides_;
 };
 
 }  // namespace achilles
