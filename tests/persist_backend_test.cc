@@ -403,8 +403,8 @@ TEST(DefenseServiceTest, StatsCountReplicationsAndCertifications) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, DefenseBackendTest,
                          ::testing::Values(DefenseKind::kLocal, DefenseKind::kRollbaccine,
                                            DefenseKind::kHealer),
-                         [](const ::testing::TestParamInfo<DefenseKind>& info) {
-                           return std::string(persist::DefenseKindName(info.param));
+                         [](const ::testing::TestParamInfo<DefenseKind>& param_info) {
+                           return std::string(persist::DefenseKindName(param_info.param));
                          });
 
 }  // namespace
