@@ -9,7 +9,7 @@
 // refuse to run (crash-stop), except that rollbaccine repairs from the freshest peer copy.
 // Without any freshness source (plain Damysus, local backend, no counter), a rolled-back
 // seal is accepted silently — the vulnerability the paper's §2.1 describes, demonstrated
-// by tests/damysus_test.cc.
+// by DamysusTest.PlainDamysusAcceptsRolledBackState (tests/baselines_test.cc).
 #ifndef SRC_DAMYSUS_CHECKER_H_
 #define SRC_DAMYSUS_CHECKER_H_
 
