@@ -299,17 +299,17 @@ ChaosResult RunChaosScript(const ChaosOptions& options, uint64_t seed, Protocol 
   ACHILLES_CHECK(script.byzantine.size() == n);
   Simulation& sim = cluster.sim();
 
-  const bool quorum_defended = options.defense != persist::DefenseKind::kLocal &&
-                               ProtocolUsesDefenseBackend(protocol);
+  const ProtocolTraits& traits = Traits(protocol);
+  const bool quorum_defended =
+      options.defense != persist::DefenseKind::kLocal && traits.defense_seam;
   OracleConfig oracle_config;
   oracle_config.n = n;
   oracle_config.f = f;
-  // Under a quorum defense the -R counters are off (the backend replaces them), so the
-  // counter-lockstep invariant is vacuous; the version-monotonic oracle audits the
+  // The counter-lockstep invariant holds where a counter guards the sealed state on the
+  // defense seam (the -R variants). Under a quorum defense those counters are off (the
+  // backend replaces them), so it is vacuous; the version-monotonic oracle audits the
   // backend-assigned versions instead.
-  oracle_config.counter_lockstep =
-      (protocol == Protocol::kDamysusR || protocol == Protocol::kOneShotR) &&
-      !quorum_defended;
+  oracle_config.counter_lockstep = traits.counter && traits.defense_seam && !quorum_defended;
   oracle_config.version_monotonic = quorum_defended;
   OracleSuite oracles(oracle_config);
 
@@ -355,15 +355,9 @@ ChaosResult RunChaosScript(const ChaosOptions& options, uint64_t seed, Protocol 
           oracles.OnCheckpointAdopted(id, cert.height, cert.block_hash, now);
         });
   }
-  // Where the checkpoint certificate itself can be rolled back — sealed-surface fates on
-  // TEE platforms, snapshot-record fates where the cert is host-resident — a lower floor
-  // is the modeled outcome of the attack, so the oracle's floor memory must reset.
-  const bool cert_in_tee = protocol != Protocol::kAchillesC &&
-                           protocol != Protocol::kRaft && protocol != Protocol::kHotStuff;
 
   std::vector<RecoveryRecord> recovery(n);
-  const bool uses_recovery = ProtocolUsesRecovery(protocol);
-  if (uses_recovery) {
+  if (traits.recovery) {
     cluster.net().SetDeliveryTap(
         [&](uint32_t from, uint32_t to, const MessageRef& msg, SimTime arrival) {
           if (from < n) {
@@ -429,14 +423,18 @@ ChaosResult RunChaosScript(const ChaosOptions& options, uint64_t seed, Protocol 
     }
     if (event.kind == FaultKind::kReboot && event.node < n) {
       const StorageFate fate = DecodeStorageFate(event.arg);
-      // Under a quorum defense the certificate store is the backend view, so both the
-      // sealed surface and the peer quorum can depress the restored floor.
+      // Where the checkpoint certificate itself can be rolled back — sealed-surface fates
+      // on TEE platforms, snapshot-record fates where the cert is host-resident — a lower
+      // floor is the modeled outcome of the attack, so the oracle's floor memory must
+      // reset. Under a quorum defense the certificate store is the backend view, so both
+      // the sealed surface and the peer quorum can depress the restored floor.
       const bool cert_attacked =
           quorum_defended
               ? fate.sealed != SealedFate::kFresh ||
                     fate.defense != persist::DefenseFate::kIntact
-              : (cert_in_tee ? fate.sealed != SealedFate::kFresh
-                             : fate.snapshot != checkpoint::SnapshotFate::kIntact);
+              : (traits.components_in_tee
+                     ? fate.sealed != SealedFate::kFresh
+                     : fate.snapshot != checkpoint::SnapshotFate::kIntact);
       oracles.OnReplicaReboot(event.node, cert_attacked);
     }
   });
@@ -451,7 +449,7 @@ ChaosResult RunChaosScript(const ChaosOptions& options, uint64_t seed, Protocol 
         continue;
       }
       oracles.OnSnapshot(i, replica->Invariants(), t);
-      if (uses_recovery) {
+      if (traits.recovery) {
         if (auto* ach = dynamic_cast<AchillesReplica*>(replica)) {
           const SimTime done = ach->recovery_completed_at();
           if (done >= 0 && done != recovery[i].last_reported) {

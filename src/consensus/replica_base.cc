@@ -329,14 +329,21 @@ bool ReplicaBase::EnsureAncestry(const Hash256& target, NodeId peer) {
   return true;
 }
 
+namespace {
+// Pacemaker back-off: the view timeout grows by this factor per consecutive timeout, up to
+// kMaxViewTimeout.
+constexpr double kTimeoutMultiplier = 2.0;
+constexpr SimDuration kMaxViewTimeout = Sec(30);
+}  // namespace
+
 void ReplicaBase::ArmViewTimer(View view, uint32_t consecutive_timeouts) {
   CancelViewTimer();
   double factor = 1.0;
   for (uint32_t i = 0; i < consecutive_timeouts && factor < 1e6; ++i) {
-    factor *= ctx_.params.timeout_multiplier;
+    factor *= kTimeoutMultiplier;
   }
   const SimDuration timeout = std::min<SimDuration>(
-      ctx_.params.max_timeout,
+      kMaxViewTimeout,
       static_cast<SimDuration>(static_cast<double>(ctx_.params.base_timeout) * factor));
   view_timer_armed_ = true;
   view_timer_ = host().SetTimer(timeout, [this, view] {

@@ -22,8 +22,6 @@ struct ProtocolParams {
   uint32_t f = 1;                       // Fault threshold.
   size_t batch_size = 400;              // Transactions per block.
   SimDuration base_timeout = Ms(500);   // Pacemaker initial view timeout.
-  double timeout_multiplier = 2.0;      // Exponential back-off per consecutive timeout.
-  SimDuration max_timeout = Sec(30);
   // NEW-VIEW optimization (§4.4): hand the commitment certificate straight to the next
   // leader instead of running the NEW-VIEW collection. Off only for the ablation bench.
   bool commit_fast_path = true;
@@ -36,8 +34,9 @@ struct ProtocolParams {
   // stale sealed state is installed silently instead of crash-stopping.
   bool break_counter_compare = false;
 
-  // Quorum used by the 2f+1 TEE protocols is f+1; FlexiBFT (3f+1) overrides with 2f+1.
-  size_t quorum() const { return static_cast<size_t>(f) + 1; }
+  // Vote and commit-certificate quorum for every protocol: n - f, which is f+1 of 2f+1
+  // and 2f+1 of 3f+1.
+  size_t quorum() const { return static_cast<size_t>(n - f); }
 };
 
 // Cross-protocol state digest polled by the chaos harness's oracles (src/chaos). Fields a

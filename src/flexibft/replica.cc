@@ -243,7 +243,7 @@ void FlexiBftReplica::OnVote(const FbVoteMsg& msg) {
 void FlexiBftReplica::TryCommit(const Hash256& hash) {
   auto it = candidates_.find(hash);
   if (it == candidates_.end() || it->second.committed ||
-      it->second.votes.size() < VoteQuorum() || it->second.block == nullptr) {
+      it->second.votes.size() < quorum() || it->second.block == nullptr) {
     return;
   }
   if (!EnsureAncestry(hash, LeaderOfEpoch(epoch_))) {
@@ -304,7 +304,7 @@ void FlexiBftReplica::OnEpochChange(NodeId /*from*/, const FbEpochChangeMsg& msg
   }
   auto& collected = epoch_msgs_[new_epoch];
   collected[msg.cert.sig.signer] = {msg.cert.view, msg.cert.hash};
-  if (collected.size() < VoteQuorum()) {
+  if (collected.size() < quorum()) {
     return;
   }
   // Become leader of new_epoch: resume from the highest committed block reported.
@@ -353,7 +353,7 @@ void FlexiBftReplica::OnStableCheckpoint(const checkpoint::CheckpointCert& cert)
 void FlexiBftReplica::OnBlocksSynced() {
   std::vector<Hash256> ready;
   for (const auto& [hash, cand] : candidates_) {
-    if (!cand.committed && cand.votes.size() >= VoteQuorum()) {
+    if (!cand.committed && cand.votes.size() >= quorum()) {
       ready.push_back(hash);
     }
   }

@@ -90,9 +90,6 @@ class FlexiBftReplica : public ReplicaBase {
     return snap;
   }
 
-  // FlexiBFT's quorum is 2f+1 of 3f+1.
-  size_t VoteQuorum() const { return 2 * static_cast<size_t>(f()) + 1; }
-
  protected:
   void HandleMessage(NodeId from, const MessageRef& msg) override;
   void OnViewTimeout(View view) override;

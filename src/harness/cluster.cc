@@ -13,37 +13,35 @@
 
 namespace achilles {
 
-const char* ProtocolName(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kAchilles:
-      return "Achilles";
-    case Protocol::kAchillesC:
-      return "Achilles-C";
-    case Protocol::kDamysus:
-      return "Damysus";
-    case Protocol::kDamysusR:
-      return "Damysus-R";
-    case Protocol::kOneShot:
-      return "OneShot";
-    case Protocol::kOneShotR:
-      return "OneShot-R";
-    case Protocol::kFlexiBft:
-      return "FlexiBFT";
-    case Protocol::kRaft:
-      return "BRaft";
-    case Protocol::kMinBft:
-      return "MinBFT";
-    case Protocol::kHotStuff:
-      return "HotStuff";
-  }
-  return "?";
+namespace {
+
+template <typename R>
+std::unique_ptr<ReplicaBase> Make(const ReplicaContext& ctx, bool initial_launch) {
+  return std::make_unique<R>(ctx, initial_launch);
 }
+
+}  // namespace
+
+// clang-format off
+const ProtocolTraits kProtocolTraits[kNumProtocols] = {
+    // name        3f+1   replica class           in TEE counter seam   disk   rb-safe Alg.3  CFT
+    {"Achilles",   false, Make<AchillesReplica>,  true,  false, true,  false, true,  true,  false},
+    {"Achilles-C", false, Make<AchillesReplica>,  false, false, true,  false, true,  true,  false},
+    {"Damysus",    false, Make<DamysusReplica>,   true,  false, true,  false, false, false, false},
+    {"Damysus-R",  false, Make<DamysusReplica>,   true,  true,  true,  false, true,  false, false},
+    {"OneShot",    false, Make<OneShotReplica>,   true,  false, true,  false, false, false, false},
+    {"OneShot-R",  false, Make<OneShotReplica>,   true,  true,  true,  false, true,  false, false},
+    {"FlexiBFT",   true,  Make<FlexiBftReplica>,  true,  true,  false, true,  false, false, false},
+    {"BRaft",      false, Make<RaftReplica>,      false, false, false, true,  false, false, true},
+    {"MinBFT",     false, Make<MinBftReplica>,    true,  true,  false, true,  false, false, false},
+    {"HotStuff",   true,  Make<HotStuffReplica>,  false, false, false, true,  false, false, false},
+};
+// clang-format on
 
 bool ProtocolFromName(std::string_view name, Protocol* out) {
   for (int i = 0; i < kNumProtocols; ++i) {
-    const Protocol protocol = static_cast<Protocol>(i);
-    if (name == ProtocolName(protocol)) {
-      *out = protocol;
+    if (name == kProtocolTraits[i].name) {
+      *out = static_cast<Protocol>(i);
       return true;
     }
   }
@@ -51,35 +49,7 @@ bool ProtocolFromName(std::string_view name, Protocol* out) {
 }
 
 uint32_t ReplicasFor(Protocol protocol, uint32_t f) {
-  const bool three_f =
-      protocol == Protocol::kFlexiBft || protocol == Protocol::kHotStuff;
-  return three_f ? 3 * f + 1 : 2 * f + 1;
-}
-
-bool DefaultCounterEnabled(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kDamysusR:
-    case Protocol::kOneShotR:
-    case Protocol::kFlexiBft:
-    case Protocol::kMinBft:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool ProtocolUsesDefenseBackend(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kAchilles:
-    case Protocol::kAchillesC:
-    case Protocol::kDamysus:
-    case Protocol::kDamysusR:
-    case Protocol::kOneShot:
-    case Protocol::kOneShotR:
-      return true;
-    default:
-      return false;
-  }
+  return Traits(protocol).three_f ? 3 * f + 1 : 2 * f + 1;
 }
 
 Cluster::Cluster(const ClusterConfig& config)
@@ -90,17 +60,14 @@ Cluster::Cluster(const ClusterConfig& config)
       net_(&sim_, config.net),
       suite_(config.scheme, n_, config.seed ^ 0x5eedc0deULL),
       tracker_(n_) {
-  TeeConfig tee = config_.tee;
-  tee.components_in_tee = config_.protocol != Protocol::kAchillesC &&
-                          config_.protocol != Protocol::kRaft &&
-                          config_.protocol != Protocol::kHotStuff;
-  // Under a quorum defense the backend replaces the counter's anti-rollback role for the
-  // protocols on the defense seam (-R keeps halting on detection, via the backend); the
-  // protocol-intrinsic counters (MinBFT USIG, FlexiBFT leader) stay regardless.
-  const bool defended = config_.defense != persist::DefenseKind::kLocal &&
-                        ProtocolUsesDefenseBackend(config_.protocol);
-  tee.counter = DefaultCounterEnabled(config_.protocol) && !defended ? config_.counter
-                                                                     : CounterSpec::None();
+  const ProtocolTraits& traits = Traits(config_.protocol);
+  // A quorum defense replaces the counter on the defense seam (the -R variants keep halting
+  // on a detected rollback, via the backend).
+  const bool defended =
+      config_.defense != persist::DefenseKind::kLocal && traits.defense_seam;
+  TeeConfig tee;
+  tee.components_in_tee = traits.components_in_tee;
+  tee.counter = traits.counter && !defended ? config_.counter : CounterSpec::None();
 
   // Hooks only see a recorder with a sink on; unobserved runs skip recording entirely.
   obs::Recorder* recorder = recorder_.active() ? &recorder_ : nullptr;
@@ -197,28 +164,7 @@ ReplicaContext Cluster::ContextFor(uint32_t id) {
 }
 
 std::unique_ptr<ReplicaBase> Cluster::MakeReplica(uint32_t id, bool initial_launch) {
-  const ReplicaContext ctx = ContextFor(id);
-  switch (config_.protocol) {
-    case Protocol::kAchilles:
-    case Protocol::kAchillesC:
-      return std::make_unique<AchillesReplica>(ctx, initial_launch);
-    case Protocol::kDamysus:
-    case Protocol::kDamysusR:
-      return std::make_unique<DamysusReplica>(ctx, initial_launch);
-    case Protocol::kOneShot:
-    case Protocol::kOneShotR:
-      return std::make_unique<OneShotReplica>(ctx, initial_launch);
-    case Protocol::kFlexiBft:
-      return std::make_unique<FlexiBftReplica>(ctx, initial_launch);
-    case Protocol::kRaft:
-      return std::make_unique<RaftReplica>(ctx, initial_launch);
-    case Protocol::kMinBft:
-      return std::make_unique<MinBftReplica>(ctx, initial_launch);
-    case Protocol::kHotStuff:
-      return std::make_unique<HotStuffReplica>(ctx, initial_launch);
-  }
-  ACHILLES_CHECK_MSG(false, "unknown protocol");
-  return nullptr;
+  return Traits(config_.protocol).make(ContextFor(id), initial_launch);
 }
 
 void Cluster::SetByzantine(uint32_t id, ByzantineMode mode) {
@@ -248,9 +194,7 @@ void Cluster::Start() {
     cc.payload_size = config_.payload_size;
     cc.rate_tps = config_.client_rate_tps;
     cc.chunk = std::max<size_t>(1, config_.batch_size / 2);
-    cc.max_outstanding = config_.client_max_outstanding != 0
-                             ? config_.client_max_outstanding
-                             : 10 * config_.batch_size;
+    cc.max_outstanding = 10 * config_.batch_size;
     cc.num_replicas = n_;
     hosts_[n_]->BindProcess(
         std::make_unique<ClientProcess>(hosts_[n_].get(), &net_, &tracker_, cc));
@@ -278,13 +222,6 @@ void Cluster::CrashReplica(uint32_t id) {
   if (ckpt_manager_ != nullptr) {
     ckpt_manager_->OnReplicaCrash(id);
   }
-}
-
-size_t Cluster::CheckpointQuorum() const {
-  const bool three_f =
-      config_.protocol == Protocol::kFlexiBft || config_.protocol == Protocol::kHotStuff;
-  return three_f ? 2 * static_cast<size_t>(config_.f) + 1
-                 : static_cast<size_t>(config_.f) + 1;
 }
 
 SimDuration Cluster::ReplicaInitDelay() const {

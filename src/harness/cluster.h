@@ -37,25 +37,52 @@ enum class Protocol {
   kHotStuff,   // Non-TEE 3f+1 ancestor, 8 steps (context).
 };
 
-const char* ProtocolName(Protocol protocol);
-// Inverse of ProtocolName; returns false on unknown names.
-bool ProtocolFromName(std::string_view name, Protocol* out);
 // Number of Protocol enum values (for sweeps).
 inline constexpr int kNumProtocols = 10;
 
-// Replica count: 3f+1 for FlexiBFT, 2f+1 otherwise.
+// Builds one incarnation of a protocol's replica (`initial_launch` = genesis, not reboot).
+using ReplicaFactory = std::unique_ptr<ReplicaBase> (*)(const ReplicaContext& ctx,
+                                                         bool initial_launch);
+
+// Every per-protocol fact the harness, the fault sampler and the chaos runner consult; one
+// row per protocol in kProtocolTraits. The quorum is n - f for all (ProtocolParams).
+struct ProtocolTraits {
+  const char* name;
+  bool three_f;  // 3f+1 replicas, else 2f+1.
+  ReplicaFactory make;
+  // Trusted components (and the checkpoint certificate) live in the TEE.
+  bool components_in_tee;
+  bool counter;  // Persistent counter by default.
+  // Trusted state persists through the rollback-defense seam (src/storage/defense.h), so
+  // a quorum --defense replaces its counter. A counter off the seam (MinBFT's USIG,
+  // FlexiBFT's leader) is protocol-intrinsic and stays.
+  bool defense_seam;
+  // Replica state on the host disk (WAL + record store): a target for torn-tail and
+  // lost-unsynced crash faults at reboot.
+  bool host_storage;
+  // Safe when the rebooted enclave is served stale sealed state (recovered over the
+  // network, or detected with a halt): a target for sealed rollback at reboot.
+  bool rollback_protected;
+  // Reboot runs Achilles' networked recovery (Algorithm 3): a target for the stale-reply
+  // replay attack.
+  bool recovery;
+  // Crash fault model: only omission and timing faults are Byzantine-legal.
+  bool crash_only;
+};
+
+// Indexed by Protocol.
+extern const ProtocolTraits kProtocolTraits[kNumProtocols];
+
+inline const ProtocolTraits& Traits(Protocol protocol) {
+  return kProtocolTraits[static_cast<int>(protocol)];
+}
+
+inline const char* ProtocolName(Protocol protocol) { return Traits(protocol).name; }
+// Inverse of ProtocolName; returns false on unknown names.
+bool ProtocolFromName(std::string_view name, Protocol* out);
+
+// Replica count: 3f+1 or 2f+1.
 uint32_t ReplicasFor(Protocol protocol, uint32_t f);
-
-// True when the protocol uses persistent counters by default (the -R variants; FlexiBFT
-// uses one on the leader by design).
-bool DefaultCounterEnabled(Protocol protocol);
-
-// True when the protocol's trusted state persists through the pluggable rollback-defense
-// seam (src/storage/defense.h): the Damysus/OneShot checker families and Achilles. MinBFT
-// and FlexiBFT keep their counters regardless of --defense (the USIG/leader counter is
-// protocol-intrinsic, not a swappable defense); the TEE-less baselines have no defended
-// state at all.
-bool ProtocolUsesDefenseBackend(Protocol protocol);
 
 struct ClusterConfig {
   Protocol protocol = Protocol::kAchilles;
@@ -76,9 +103,7 @@ struct ClusterConfig {
   uint64_t seed = 1;
   SignatureScheme scheme = SignatureScheme::kFastHmac;
   bool with_client = true;
-  double client_rate_tps = 0.0;     // 0 = saturating client.
-  size_t client_max_outstanding = 0;  // 0 = 10 * batch_size.
-  TeeConfig tee;                    // Boot costs; counter/in-TEE flags derived per protocol.
+  double client_rate_tps = 0.0;  // 0 = saturating client (10 * batch_size outstanding).
   // The obs::Recorder's sinks (src/obs/recorder.h), all off by default; a sink that is
   // off is never built. Recording is memory-only and never perturbs virtual time, so
   // RunStats and the event-log, journal and replay digests are bit-identical with any
@@ -157,9 +182,8 @@ class Cluster {
   checkpoint::CheckpointManager* checkpoint_manager() { return ckpt_manager_.get(); }
   // Peer quorum behind the rollback-defense backends (null when config.defense == kLocal).
   persist::DefenseService* defense_service() { return defense_service_.get(); }
-  // Checkpoint quorum for this cluster shape: the commit-certificate quorum (f+1 on the
-  // 2f+1 TEE protocols, 2f+1 on the 3f+1 ones).
-  size_t CheckpointQuorum() const;
+  // Checkpoint quorum: the commit-certificate quorum, n - f.
+  size_t CheckpointQuorum() const { return n_ - config_.f; }
 
   // Current incarnation of replica `id` (nullptr while crashed).
   ReplicaBase* replica(uint32_t id) { return replica_ptrs_[id]; }

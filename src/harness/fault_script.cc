@@ -120,48 +120,8 @@ uint32_t FaultScript::CrashedCount() const {
   return static_cast<uint32_t>(crashed.size());
 }
 
-bool ProtocolSupportsReboot(Protocol protocol) {
-  // Every protocol now persists what its paper assumes is on stable storage — BRaft its
-  // term/votedFor/log, MinBFT its message log + USIG mirror, HotStuff its lock/highest QC,
-  // FlexiBFT its sequencer frontier (src/storage) — and the TEE protocols restore from
-  // sealed storage. A crashed replica of any protocol can therefore be rebooted.
-  (void)protocol;
-  return true;
-}
-
-bool ProtocolUsesHostStorage(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kRaft:
-    case Protocol::kMinBft:
-    case Protocol::kHotStuff:
-    case Protocol::kFlexiBft:
-      return true;
-    default:
-      // The TEE protocols keep their durable state in sealed storage / the counter device;
-      // their host disk stays empty, so crash-consistency fates would be vacuous.
-      return false;
-  }
-}
-
-bool ProtocolRollbackProtected(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kAchilles:
-    case Protocol::kAchillesC:  // Same recovery protocol, components outside the TEE.
-    case Protocol::kDamysusR:
-    case Protocol::kOneShotR:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool ProtocolUsesRecovery(Protocol protocol) {
-  return protocol == Protocol::kAchilles || protocol == Protocol::kAchillesC;
-}
-
 std::vector<ByzantineMode> AllowedByzantineModes(Protocol protocol) {
-  if (protocol == Protocol::kRaft) {
-    // CFT fault model: omission and timing faults only.
+  if (Traits(protocol).crash_only) {
     return {ByzantineMode::kSilent, ByzantineMode::kFlaky, ByzantineMode::kDelayer};
   }
   return {ByzantineMode::kSilent,      ByzantineMode::kFlaky,
@@ -173,6 +133,7 @@ std::vector<ByzantineMode> AllowedByzantineModes(Protocol protocol) {
 FaultScript SampleFaultScript(const ScriptParams& params, Rng& rng) {
   ACHILLES_CHECK(params.heal_at >= Ms(1200));
   const uint32_t n = ReplicasFor(params.protocol, params.f);
+  const ProtocolTraits& traits = Traits(params.protocol);
   FaultScript script;
   script.byzantine.assign(n, ByzantineMode::kNone);
   script.heal_at = params.heal_at;
@@ -194,8 +155,7 @@ FaultScript SampleFaultScript(const ScriptParams& params, Rng& rng) {
     budget -= count;
   }
 
-  if (budget > 0 && ProtocolSupportsReboot(params.protocol) &&
-      rng.Chance(params.reboot_prob)) {
+  if (budget > 0 && rng.Chance(params.reboot_prob)) {
     const uint32_t count = 1 + static_cast<uint32_t>(rng.UniformU64(budget));
     bool attack_placed = false;
     // Simultaneous multi-node reboots: all victims share one crash instant and one reboot
@@ -227,17 +187,16 @@ FaultScript SampleFaultScript(const ScriptParams& params, Rng& rng) {
                          : crash_at + Ms(80) +
                                static_cast<SimTime>(rng.UniformU64(Ms(400))));
       StorageFate fate;
-      if (ProtocolUsesHostStorage(params.protocol) && rng.Chance(0.5)) {
+      if (traits.host_storage && rng.Chance(0.5)) {
         // Crash-consistency fault on the host disk: the unsynced suffix vanishes, or the
         // tail record tears. Stable-storage protocols fsync before externalizing state, so
         // either fate must leave agreement intact.
         fate.wal = rng.Chance(0.5) ? storage::WalFate::kLostUnsynced
                                    : storage::WalFate::kTornTail;
       }
-      const bool quorum_defended = params.defense != persist::DefenseKind::kLocal &&
-                                   ProtocolUsesDefenseBackend(params.protocol);
-      if ((ProtocolRollbackProtected(params.protocol) || quorum_defended) &&
-          rng.Chance(0.5)) {
+      const bool quorum_defended =
+          params.defense != persist::DefenseKind::kLocal && traits.defense_seam;
+      if ((traits.rollback_protected || quorum_defended) && rng.Chance(0.5)) {
         // Adversarial sealed storage at reboot: full rollback or a wiped blob store.
         // Achilles recovers over the network regardless; the -R checkers must detect the
         // rollback and halt; under a quorum defense backend every backend-using protocol
@@ -271,7 +230,7 @@ FaultScript SampleFaultScript(const ScriptParams& params, Rng& rng) {
       // moment the second incarnation boots. An honest checker rejects them (nonce
       // mismatch); the break_recovery_nonce variant completes recovery on stale state.
       bool followup_placed = false;
-      if (!attack_placed && ProtocolUsesRecovery(params.protocol) &&
+      if (!attack_placed && traits.recovery &&
           reboot_at + Ms(700) <= params.heal_at - Ms(350) && rng.Chance(0.35)) {
         attack_placed = true;
         followup_placed = true;
@@ -291,7 +250,7 @@ FaultScript SampleFaultScript(const ScriptParams& params, Rng& rng) {
             again + Ms(80) + static_cast<SimTime>(rng.UniformU64(Ms(220)));
         if (again_reboot <= params.heal_at - Ms(50)) {
           StorageFate refate;
-          if (ProtocolUsesHostStorage(params.protocol) && rng.Chance(0.5)) {
+          if (traits.host_storage && rng.Chance(0.5)) {
             refate.wal = rng.Chance(0.5) ? storage::WalFate::kLostUnsynced
                                          : storage::WalFate::kTornTail;
           }

@@ -88,20 +88,8 @@ struct FaultScript {
   uint32_t CrashedCount() const;
 };
 
-// Protocol capability traits consulted by the sampler (and by tests):
-// whether a crashed replica can be rebooted at all in this codebase's model...
-bool ProtocolSupportsReboot(Protocol protocol);
-// ...whether it persists replica state on the host disk (WAL + record store), making it a
-// target for torn-tail / lost-unsynced crash faults at reboot...
-bool ProtocolUsesHostStorage(Protocol protocol);
-// ...whether it stays safe when the rebooted enclave is served *stale* sealed state
-// (Achilles recovers over the network; the -R variants detect the rollback and halt)...
-bool ProtocolRollbackProtected(Protocol protocol);
-// ...and whether reboot runs Achilles' networked recovery (Algorithm 3), making the node a
-// target for the stale-reply replay attack.
-bool ProtocolUsesRecovery(Protocol protocol);
-// Byzantine modes the sampler may assign under this protocol's fault model (Raft is CFT:
-// only omission/timing modes).
+// Byzantine modes the sampler may assign under this protocol's fault model (a crash-only
+// protocol gets the omission and timing modes only).
 std::vector<ByzantineMode> AllowedByzantineModes(Protocol protocol);
 
 struct ScriptParams {

@@ -5,14 +5,20 @@
 
 namespace achilles {
 
+namespace {
+// Each instance's deployment: the ClusterConfig defaults.
+constexpr size_t kBatchSize = 400;
+constexpr uint32_t kPayloadSize = 256;
+}  // namespace
+
 ParallelStats RunParallelAchilles(const ParallelConfig& config, SimDuration warmup,
                                   SimDuration measure) {
-  const uint32_t n = 2 * config.f + 1;  // Machines.
+  const uint32_t n = ReplicasFor(Protocol::kAchilles, config.f);  // Machines.
   const uint32_t k = config.instances;
   ACHILLES_CHECK(k >= 1);
 
   Simulation sim(config.seed);
-  Network net(&sim, config.net);
+  Network net(&sim, NetworkConfig::Lan());
   // One signing identity per machine: every instance's replica on machine m signs as m.
   CryptoSuite suite(SignatureScheme::kFastHmac, n, config.seed ^ 0x9a7a11e1ULL);
 
@@ -29,7 +35,7 @@ ParallelStats RunParallelAchilles(const ParallelConfig& config, SimDuration warm
       hosts.push_back(std::make_unique<Host>(&sim, i * n + m));
       net.AddHost(hosts.back().get());
       platforms.push_back(std::make_unique<NodePlatform>(
-          hosts.back().get(), &suite, config.costs, tee, config.seed, /*node_id=*/m));
+          hosts.back().get(), &suite, CostModel::Default(), tee, config.seed, /*node_id=*/m));
     }
   }
   for (uint32_t i = 0; i < k; ++i) {
@@ -54,8 +60,7 @@ ParallelStats RunParallelAchilles(const ParallelConfig& config, SimDuration warm
       ctx.tracker = trackers[i].get();
       ctx.params.n = n;
       ctx.params.f = config.f;
-      ctx.params.batch_size = config.batch_size;
-      ctx.params.base_timeout = config.base_timeout;
+      ctx.params.batch_size = kBatchSize;
       ctx.client_ids = {k * n + i};
       ctx.replica_hosts = replica_hosts;
       hosts[i * n + m]->BindProcess(
@@ -64,10 +69,10 @@ ParallelStats RunParallelAchilles(const ParallelConfig& config, SimDuration warm
     // One saturating client per instance (transactions striped by construction: each
     // client only feeds its own instance).
     ClientConfig cc;
-    cc.payload_size = config.payload_size;
+    cc.payload_size = kPayloadSize;
     cc.rate_tps = 0.0;
-    cc.chunk = std::max<size_t>(1, config.batch_size / 2);
-    cc.max_outstanding = 10 * config.batch_size;
+    cc.chunk = kBatchSize / 2;
+    cc.max_outstanding = 10 * kBatchSize;
     cc.num_replicas = n;
     cc.first_replica_host = i * n;  // This instance's contiguous host range.
     hosts[k * n + i]->BindProcess(std::make_unique<ClientProcess>(

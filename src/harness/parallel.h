@@ -16,11 +16,6 @@ namespace achilles {
 struct ParallelConfig {
   uint32_t f = 2;
   uint32_t instances = 2;  // k.
-  size_t batch_size = 400;
-  uint32_t payload_size = 256;
-  NetworkConfig net = NetworkConfig::Lan();
-  CostModel costs = CostModel::Default();
-  SimDuration base_timeout = Ms(500);
   uint64_t seed = 1;
 };
 

@@ -160,7 +160,7 @@ void HotStuffReplica::OnNewView(const HsNewViewMsg& msg) {
 
 void HotStuffReplica::TryPropose(View view) {
   auto it = new_views_.find(view);
-  if (it == new_views_.end() || it->second.size() < VoteQuorum() || view < cur_view_ ||
+  if (it == new_views_.end() || it->second.size() < quorum() || view < cur_view_ ||
       proposed_hash_.count(view) > 0) {
     return;
   }
@@ -216,7 +216,7 @@ void HotStuffReplica::OnPropose(NodeId from, const std::shared_ptr<const HsPropo
   // Verify the justify QC (genesis QC is empty and always accepted).
   if (!msg->justify.sigs.empty()) {
     ChargeVerifyBatch(msg->justify.sigs.size());
-    if (!msg->justify.Verify(platform().suite(), kHsPrepare, VoteQuorum())) {
+    if (!msg->justify.Verify(platform().suite(), kHsPrepare, quorum())) {
       return;
     }
   } else if (msg->justify.hash != Block::Genesis()->hash) {
@@ -282,7 +282,7 @@ void HotStuffReplica::OnVote(const HsVoteMsg& msg) {
   }
   votes.push_back(msg.vote);
   CritNote(static_cast<uint32_t>(phase_index), v);
-  if (votes.size() < VoteQuorum()) {
+  if (votes.size() < quorum()) {
     return;
   }
   CritJoin(static_cast<uint32_t>(phase_index), v);
@@ -300,7 +300,7 @@ void HotStuffReplica::OnVote(const HsVoteMsg& msg) {
 void HotStuffReplica::OnQc(NodeId from, const std::shared_ptr<const HsQcMsg>& msg) {
   const QuorumCert& qc = msg->qc;
   ChargeVerifyBatch(qc.sigs.size());
-  if (!qc.Verify(platform().suite(), HsPhaseDomain(msg->phase), VoteQuorum())) {
+  if (!qc.Verify(platform().suite(), HsPhaseDomain(msg->phase), quorum())) {
     return;
   }
   switch (msg->phase) {

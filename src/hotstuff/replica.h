@@ -65,7 +65,6 @@ class HotStuffReplica : public ReplicaBase {
 
   void OnStart() override;
   View current_view() const { return cur_view_; }
-  size_t VoteQuorum() const { return 2 * static_cast<size_t>(f()) + 1; }
 
   InvariantSnapshot Invariants() const override {
     InvariantSnapshot snap = ReplicaBase::Invariants();

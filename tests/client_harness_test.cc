@@ -2,10 +2,20 @@
 // the protocol boundary.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <typeinfo>
+
 #include "src/achilles/messages.h"
 #include "src/achilles/replica.h"
+#include "src/damysus/replica.h"
+#include "src/flexibft/replica.h"
 #include "src/harness/cluster.h"
 #include "src/harness/experiment.h"
+#include "src/harness/fault_script.h"
+#include "src/hotstuff/replica.h"
+#include "src/minbft/replica.h"
+#include "src/oneshot/replica.h"
+#include "src/raft/replica.h"
 
 namespace achilles {
 namespace {
@@ -155,20 +165,87 @@ TEST(KvClientTest, RetriesAndFailsOverOnLeaderChange) {
 
 // --- Cluster harness ---
 
-TEST(ClusterTest, ReplicaCountsPerProtocol) {
-  EXPECT_EQ(ReplicasFor(Protocol::kAchilles, 3), 7u);
-  EXPECT_EQ(ReplicasFor(Protocol::kDamysusR, 10), 21u);
-  EXPECT_EQ(ReplicasFor(Protocol::kFlexiBft, 3), 10u);
-  EXPECT_EQ(ReplicasFor(Protocol::kRaft, 2), 5u);
-}
+// The protocol table (kProtocolTraits), checked row by row against the paper's
+// assignments written out here, and against what a Cluster built from each row does.
+struct ExpectedRow {
+  Protocol protocol;
+  const char* name;
+  uint32_t n_f1;
+  uint32_t n_f2;
+  const std::type_info& replica;
+  bool in_tee;
+  bool counter;
+  bool defense_seam;
+  bool host_storage;
+  bool rollback_protected;
+  bool recovery;
+  bool crash_only;
+};
 
-TEST(ClusterTest, CounterDefaultsPerProtocol) {
-  EXPECT_FALSE(DefaultCounterEnabled(Protocol::kAchilles));
-  EXPECT_FALSE(DefaultCounterEnabled(Protocol::kDamysus));
-  EXPECT_TRUE(DefaultCounterEnabled(Protocol::kDamysusR));
-  EXPECT_TRUE(DefaultCounterEnabled(Protocol::kOneShotR));
-  EXPECT_TRUE(DefaultCounterEnabled(Protocol::kFlexiBft));
-  EXPECT_FALSE(DefaultCounterEnabled(Protocol::kRaft));
+TEST(ProtocolTableTest, EveryRowMatchesThePaper) {
+  using P = Protocol;
+  constexpr bool T = true;
+  constexpr bool F = false;
+  // clang-format off
+  const ExpectedRow rows[] = {
+      // protocol    name          n@f=1,2  replica class           TEE cnt seam disk rb  Alg.3 CFT
+      {P::kAchilles,  "Achilles",   3, 5, typeid(AchillesReplica),  T,  F,  T,   F,   T,  T,    F},
+      {P::kAchillesC, "Achilles-C", 3, 5, typeid(AchillesReplica),  F,  F,  T,   F,   T,  T,    F},
+      {P::kDamysus,   "Damysus",    3, 5, typeid(DamysusReplica),   T,  F,  T,   F,   F,  F,    F},
+      {P::kDamysusR,  "Damysus-R",  3, 5, typeid(DamysusReplica),   T,  T,  T,   F,   T,  F,    F},
+      {P::kOneShot,   "OneShot",    3, 5, typeid(OneShotReplica),   T,  F,  T,   F,   F,  F,    F},
+      {P::kOneShotR,  "OneShot-R",  3, 5, typeid(OneShotReplica),   T,  T,  T,   F,   T,  F,    F},
+      {P::kFlexiBft,  "FlexiBFT",   4, 7, typeid(FlexiBftReplica),  T,  T,  F,   T,   F,  F,    F},
+      {P::kRaft,      "BRaft",      3, 5, typeid(RaftReplica),      F,  F,  F,   T,   F,  F,    T},
+      {P::kMinBft,    "MinBFT",     3, 5, typeid(MinBftReplica),    T,  T,  F,   T,   F,  F,    F},
+      {P::kHotStuff,  "HotStuff",   4, 7, typeid(HotStuffReplica),  F,  F,  F,   T,   F,  F,    F},
+  };
+  // clang-format on
+  ASSERT_EQ(std::size(rows), static_cast<size_t>(kNumProtocols));
+  for (const ExpectedRow& row : rows) {
+    SCOPED_TRACE(row.name);
+    const ProtocolTraits& traits = Traits(row.protocol);
+    EXPECT_STREQ(ProtocolName(row.protocol), row.name);
+    Protocol parsed;
+    ASSERT_TRUE(ProtocolFromName(row.name, &parsed));
+    EXPECT_EQ(parsed, row.protocol);
+    EXPECT_EQ(ReplicasFor(row.protocol, 1), row.n_f1);
+    EXPECT_EQ(ReplicasFor(row.protocol, 2), row.n_f2);
+    EXPECT_EQ(traits.components_in_tee, row.in_tee);
+    EXPECT_EQ(traits.counter, row.counter);
+    EXPECT_EQ(traits.defense_seam, row.defense_seam);
+    EXPECT_EQ(traits.host_storage, row.host_storage);
+    EXPECT_EQ(traits.rollback_protected, row.rollback_protected);
+    EXPECT_EQ(traits.recovery, row.recovery);
+    EXPECT_EQ(traits.crash_only, row.crash_only);
+    EXPECT_EQ(AllowedByzantineModes(row.protocol).size(), row.crash_only ? 3u : 8u);
+
+    // What the Cluster builds from the row, under the local defense and a quorum one.
+    for (persist::DefenseKind defense :
+         {persist::DefenseKind::kLocal, persist::DefenseKind::kHealer}) {
+      ClusterConfig config;
+      config.protocol = row.protocol;
+      config.f = 2;
+      config.defense = defense;
+      config.with_client = false;
+      Cluster cluster(config);
+      cluster.Start();
+      ASSERT_EQ(cluster.num_replicas(), row.n_f2);
+      const ReplicaBase& replica = *cluster.replica(0);
+      EXPECT_EQ(typeid(replica), row.replica);
+      ProtocolParams params;
+      params.n = cluster.num_replicas();
+      params.f = config.f;
+      EXPECT_EQ(params.quorum(), row.n_f2 - 2);
+      EXPECT_EQ(cluster.CheckpointQuorum(), row.n_f2 - 2);
+      const TeeConfig& tee = cluster.platform(0).tee();
+      EXPECT_EQ(tee.components_in_tee, row.in_tee);
+      // A quorum defense replaces the counter on the defense seam.
+      const bool quorum = defense != persist::DefenseKind::kLocal;
+      EXPECT_EQ(tee.counter.enabled(), row.counter && !(quorum && row.defense_seam));
+      EXPECT_EQ(cluster.defense_service() != nullptr, quorum && row.defense_seam);
+    }
+  }
 }
 
 TEST(ClusterTest, InitDelayGrowsWithClusterSize) {

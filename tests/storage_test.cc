@@ -296,25 +296,6 @@ TEST(StorageFateTest, V3ScriptsRoundTripSnapshotFates) {
   EXPECT_EQ(parsed.ToText(), text);  // The canonical form is a fixed point.
 }
 
-TEST(StorageFateTest, EveryProtocolSupportsReboot) {
-  for (int i = 0; i < kNumProtocols; ++i) {
-    EXPECT_TRUE(ProtocolSupportsReboot(static_cast<Protocol>(i)))
-        << ProtocolName(static_cast<Protocol>(i));
-  }
-}
-
-TEST(StorageFateTest, HostStorageTraitMatchesThePaperAssignments) {
-  // BRaft, MinBFT, HotStuff and FlexiBFT persist replica state on the host disk per their
-  // papers; the TEE protocols keep durable state in sealed storage / the counter only.
-  for (int i = 0; i < kNumProtocols; ++i) {
-    const Protocol protocol = static_cast<Protocol>(i);
-    const bool expected = protocol == Protocol::kRaft || protocol == Protocol::kMinBft ||
-                          protocol == Protocol::kHotStuff ||
-                          protocol == Protocol::kFlexiBft;
-    EXPECT_EQ(ProtocolUsesHostStorage(protocol), expected) << ProtocolName(protocol);
-  }
-}
-
 // --- Reboot recovery through the cluster ---
 
 ClusterConfig Config(Protocol protocol, uint64_t seed = 21) {
@@ -371,7 +352,7 @@ TEST(RebootRecoveryTest, HostDiskUsageMatchesTheTrait) {
     // Node 0 leads at genesis in every leader-based protocol here, so it writes whenever
     // the protocol uses the host disk at all.
     EXPECT_EQ(cluster.platform(0).host_storage().ever_written(),
-              ProtocolUsesHostStorage(protocol))
+              Traits(protocol).host_storage)
         << ProtocolName(protocol);
   }
 }
