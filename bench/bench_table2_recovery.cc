@@ -30,7 +30,7 @@ int Main() {
     // victim crashes while leading, recovery must additionally wait for the next leader to
     // be elected — §4.5 — which measures the pacemaker timeout, not the recovery protocol.)
     auto* probe = dynamic_cast<AchillesReplica*>(cluster.replica(0));
-    for (int i = 0; i < 1000 && LeaderOfView(probe->current_view(), n) != (victim + 1) % n;
+    for (int i = 0; i < 1000 && LeaderOfView(probe->view(), n) != (victim + 1) % n;
          ++i) {
       cluster.sim().RunFor(Us(200));
     }

@@ -52,7 +52,7 @@ int main() {
   std::map<Height, KvStore> snapshots;  // Canonical state after each committed height.
   KvStore canonical;
   Height canonical_height = 0;
-  cluster.tracker().SetCommitListener(
+  cluster.tracker().AddCommitListener(
       [&](NodeId replica, const BlockPtr& block, SimTime /*now*/) {
         // Maintain the canonical sequence (first commit of each height defines it).
         if (block->height == canonical_height + 1) {

@@ -7,7 +7,7 @@ namespace achilles {
 AchillesReplica::AchillesReplica(const ReplicaContext& ctx, bool initial_launch)
     : ChainedReplica(ctx, {kAchNewView, kAchCommit}),
       checker_(&enclave(), ctx.params.n, ctx.params.f, initial_launch,
-               ctx.params.break_recovery_nonce) {
+               ctx.params.broken == BrokenVariant::kRecoveryNonce) {
   preb_.block = Block::Genesis();
   if (!initial_launch) {
     // Seed the committed prefix from the last stable checkpoint (if its snapshot and
@@ -141,7 +141,7 @@ void AchillesReplica::OnRecoveryRequest(NodeId from, const AchRecoveryRequestMsg
 
 void AchillesReplica::OnRecoveryReply(NodeId from, const AchRecoveryReplyMsg& msg) {
   if (!checker_.recovering() ||
-      (!params().break_recovery_nonce && msg.reply.aux2 != last_request_nonce_)) {
+      (params().broken != BrokenVariant::kRecoveryNonce && msg.reply.aux2 != last_request_nonce_)) {
     return;  // Not recovering, or a reply from a superseded request round.
   }
   if (msg.block != nullptr) {

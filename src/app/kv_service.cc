@@ -10,12 +10,13 @@ namespace app {
 
 KvService::KvService(std::vector<Host*> replica_hosts, Network* net, CommitTracker* tracker,
                      uint32_t kv_client_host, const KvAppOptions& opts,
-                     obs::MetricsRegistry* metrics)
+                     BrokenVariant broken, obs::MetricsRegistry* metrics)
     : hosts_(std::move(replica_hosts)),
       net_(net),
       tracker_(tracker),
       kv_client_host_(kv_client_host),
       opts_(opts),
+      broken_(broken),
       per_replica_(hosts_.size()) {
   ACHILLES_CHECK(!hosts_.empty());
   if (metrics != nullptr) {
@@ -132,7 +133,7 @@ void KvService::OnBlockApplied(NodeId replica, const BlockPtr& block, SimTime no
   // promise to a holder other than this block's proposer (the withholding that makes the
   // lease safe). The broken variant skips the promise gate — that is the planted bug.
   SimTime release = std::max(now, pr.boot_silence_until);
-  if (!opts_.break_stale_read_lease && pr.promise_to != kNoNode &&
+  if (broken_ != BrokenVariant::kStaleReadLease && pr.promise_to != kNoNode &&
       pr.promise_to != proposer && now < pr.promise_until) {
     release = std::max(release, pr.promise_until);
   }

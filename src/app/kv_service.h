@@ -100,15 +100,12 @@ struct KvAppOptions {
   SimDuration lease_duration = Ms(400);  // L: promise lifetime.
   uint32_t stable_streak = 3;            // K: self-led blocks applied before serving.
   uint32_t payload_size = 64;            // Bytes per KV transaction payload.
-  // Oracle self-test ONLY: grantors stop withholding foreign-led completions, making the
-  // stale-read window client-observable (see file header).
-  bool break_stale_read_lease = false;
 };
 
 class KvService : public AppMessageSink {
  public:
   KvService(std::vector<Host*> replica_hosts, Network* net, CommitTracker* tracker,
-            uint32_t kv_client_host, const KvAppOptions& opts,
+            uint32_t kv_client_host, const KvAppOptions& opts, BrokenVariant broken,
             obs::MetricsRegistry* metrics);
 
   // Wire this into the tracker with AddCommitListener. Runs inside the committing
@@ -181,6 +178,7 @@ class KvService : public AppMessageSink {
   CommitTracker* tracker_;
   uint32_t kv_client_host_;
   KvAppOptions opts_;
+  BrokenVariant broken_;
 
   // Agreed log by height, first commit wins (the safety oracle separately guarantees no
   // correct replica ever disagrees). Lets checkpoint-adopting mirrors catch up in order.

@@ -273,17 +273,10 @@ ChaosResult RunChaosScript(const ChaosOptions& options, uint64_t seed, Protocol 
   config.base_timeout = Ms(100);
   config.seed = seed;
   config.client_rate_tps = options.client_rate_tps;
-  config.break_recovery_nonce = options.broken == BrokenVariant::kRecoveryNonce;
-  // All three variants disable restore-time freshness verification — the counter compare
-  // under the local backend, the peer-quorum consult / certified-floor check under the
-  // quorum ones (Backend::Open's `verify` parameter).
-  config.break_counter_compare = options.broken == BrokenVariant::kCounterCompare ||
-                                 options.broken == BrokenVariant::kQuorumRestoreSkip ||
-                                 options.broken == BrokenVariant::kCertFloorSkip;
+  config.broken = options.broken;
   config.journaling = options.journal;
   const bool app_kv = options.app_kv || options.broken == BrokenVariant::kStaleReadLease;
   config.app_kv = app_kv;
-  config.kv.break_stale_read_lease = options.broken == BrokenVariant::kStaleReadLease;
   // Checkpointing is always on under chaos: every run then audits the certified-prefix +
   // truncation + state-transfer machinery, and post-truncation reboots must still satisfy
   // the durability and (in KV runs) linearizability oracles. The short interval keeps
@@ -291,7 +284,6 @@ ChaosResult RunChaosScript(const ChaosOptions& options, uint64_t seed, Protocol 
   config.ckpt.enabled = true;
   config.ckpt.interval = 8;
   if (options.broken == BrokenVariant::kStaleSnapshotAccept) {
-    config.ckpt.break_stale_snapshot_accept = true;
     config.ckpt.retain = 0;  // Unbounded retention: the oldest snapshot stays servable.
   }
   Cluster cluster(config);

@@ -19,28 +19,8 @@
 
 namespace achilles::chaos {
 
-// Which deliberately-broken protocol variant to run (oracle self-test; ISSUE 3). The
-// harness must FLAG these — a broken run that passes the oracles is the failure.
-enum class BrokenVariant {
-  kNone,
-  kRecoveryNonce,    // Achilles driver+checker skip the recovery-nonce freshness check.
-  kCounterCompare,   // -R checker skips the sealed-version vs counter rollback compare.
-  kStaleReadLease,   // KV lease grantors skip the client-response withholding, so a deposed
-                     // leaseholder can serve stale reads (caught by the linearizability
-                     // oracle, not by any replica-side audit). Forces --app kv.
-  kStaleSnapshotAccept,  // Snapshot state transfer drops every safety check: responders
-                         // serve their oldest retained snapshot and requesters force-install
-                         // it, rolling a lagging rejoiner back below its own committed
-                         // prefix (caught by the checkpoint oracle).
-  kQuorumRestoreSkip,    // Rollbaccine backend restores from the local blob without
-                         // consulting the peer replicas, so a rolled-back seal installs
-                         // silently (caught by the defense version-monotonic oracle).
-                         // Forces Damysus-R with --defense rollbaccine.
-  kCertFloorSkip,        // Healer backend installs the local blob without checking the
-                         // quorum's certified version floor — same silent stale install,
-                         // certificate flavor. Forces Damysus-R with --defense healer.
-};
-
+// --broken names of the deliberately-broken variants (BrokenVariant is declared in
+// src/consensus/replica_base.h, beside the ProtocolParams that carry it).
 const char* BrokenVariantName(BrokenVariant variant);
 bool BrokenVariantFromName(std::string_view name, BrokenVariant* out);
 

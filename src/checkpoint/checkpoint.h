@@ -38,10 +38,6 @@ struct CheckpointOptions {
                                  // intervals behind the announced stable frontier.
   uint32_t retain = 4;           // Boundary snapshots kept servable for laggards
                                  // (0 = unbounded; only the broken self-test uses that).
-  // Oracle self-test ONLY (--broken stale-snapshot-accept): responders serve their oldest
-  // retained snapshot and requesters skip the quorum/digest/floor checks, silently
-  // installing rolled-back state — the checkpoint oracle must flag it.
-  bool break_stale_snapshot_accept = false;
 };
 
 // The digest every correct replica derives at boundary H: H(height, block hash,

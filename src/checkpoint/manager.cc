@@ -24,13 +24,14 @@ const char* SnapshotFateName(SnapshotFate fate) {
 
 CheckpointManager::CheckpointManager(std::vector<NodePlatform*> platforms, Network* net,
                                      const CryptoSuite* suite, const CostModel& costs,
-                                     const CheckpointOptions& opts, size_t quorum,
-                                     obs::MetricsRegistry* metrics)
+                                     const CheckpointOptions& opts, BrokenVariant broken,
+                                     size_t quorum, obs::MetricsRegistry* metrics)
     : platforms_(std::move(platforms)),
       net_(net),
       suite_(suite),
       costs_(costs),
       opts_(opts),
+      broken_(broken),
       quorum_(quorum),
       metrics_(metrics) {
   ACHILLES_CHECK(opts_.interval > 0);
@@ -273,7 +274,7 @@ void CheckpointManager::HandleFetchRequest(NodeId replica, uint32_t from_host,
   PerReplica& pr = per_replica_[replica];
   const RetainedSnapshot* serve = nullptr;
   Height serve_height = 0;
-  if (opts_.break_stale_snapshot_accept) {
+  if (broken_ == BrokenVariant::kStaleSnapshotAccept) {
     // BROKEN: serve the oldest retained snapshot, ignoring what the requester has — with
     // retention unbounded this resurrects arbitrarily old state.
     for (const auto& [h, slot] : retained_) {
@@ -322,7 +323,7 @@ void CheckpointManager::HandleFetchResponse(NodeId replica, uint32_t from_host,
     return;
   }
   Host* host = HostAt(replica);
-  const bool broken = opts_.break_stale_snapshot_accept;
+  const bool broken = broken_ == BrokenVariant::kStaleSnapshotAccept;
   if (!broken) {
     host->ChargeCpuAs(obs::Component::kCrypto,
                       costs_.verify * static_cast<SimDuration>(resp.cert.sigs.size()) +

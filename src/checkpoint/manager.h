@@ -95,7 +95,7 @@ class CheckpointManager : public AppMessageSink {
  public:
   CheckpointManager(std::vector<NodePlatform*> platforms, Network* net,
                     const CryptoSuite* suite, const CostModel& costs,
-                    const CheckpointOptions& opts, size_t quorum,
+                    const CheckpointOptions& opts, BrokenVariant broken, size_t quorum,
                     obs::MetricsRegistry* metrics);
 
   // Current replica incarnations (indexed by replica id, nullptr while crashed). The
@@ -196,6 +196,7 @@ class CheckpointManager : public AppMessageSink {
   const CryptoSuite* suite_;
   CostModel costs_;
   CheckpointOptions opts_;
+  BrokenVariant broken_;
   size_t quorum_;
   obs::MetricsRegistry* metrics_;
   const std::vector<ReplicaBase*>* replicas_ = nullptr;

@@ -5,20 +5,7 @@ namespace achilles {
 ChainedReplica::ChainedReplica(const ReplicaContext& ctx, Domains domains)
     : ReplicaBase(ctx), domains_(domains) {}
 
-// --- View entry and the pacemaker ---
-
-void ChainedReplica::EnterView(View v) {
-  if (v > cur_view_) {
-    cur_view_ = v;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-}
-
-void ChainedReplica::NoteProgress(View v) {
-  EnterView(v);
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(cur_view_, 0);
-}
+// --- View change ---
 
 void ChainedReplica::AdvanceViaNewView(View target) {
   const auto cert = TrustedNewView(target);
@@ -26,7 +13,7 @@ void ChainedReplica::AdvanceViaNewView(View target) {
     return;
   }
   EnterView(target);
-  ArmViewTimer(cur_view_, consecutive_timeouts_);
+  ArmViewTimer();
   SendTo(LeaderOf(target), MakeNewView(*cert));
 }
 
@@ -40,17 +27,15 @@ void ChainedReplica::RejoinAtTrustedView() {
   AdvanceViaNewView(restored + 1);
 }
 
-void ChainedReplica::OnViewTimeout(View view) {
-  if (!Active() || view != cur_view_) {
-    return;
+void ChainedReplica::OnViewTimeout(View armed) {
+  if (Active() && armed == view()) {
+    AdvanceViaNewView(NoteTimeout());
   }
-  ++consecutive_timeouts_;
-  AdvanceViaNewView(cur_view_ + 1);
 }
 
 void ChainedReplica::EnterViewAfterCommit(View new_view, const MessageRef& decide,
                                           const QuorumCert& cert) {
-  if (new_view <= cur_view_) {
+  if (new_view <= view()) {
     return;
   }
   NoteProgress(new_view);
@@ -73,7 +58,7 @@ void ChainedReplica::EnterViewAfterCommit(View new_view, const MessageRef& decid
 // --- Proposals ---
 
 void ChainedReplica::TryProposeFromCommit(View w) {
-  if (!Active() || LeaderOf(w) != id() || w < cur_view_ || proposed_hash_.count(w) > 0) {
+  if (!Active() || LeaderOf(w) != id() || w < view() || proposed_hash_.count(w) > 0) {
     return;
   }
   auto it = commit_certs_.find(w);
@@ -88,7 +73,7 @@ void ChainedReplica::TryProposeFromCommit(View w) {
 }
 
 void ChainedReplica::TryProposeFromViewCerts(View w) {
-  if (!Active() || LeaderOf(w) != id() || w < cur_view_ || proposed_hash_.count(w) > 0) {
+  if (!Active() || LeaderOf(w) != id() || w < view() || proposed_hash_.count(w) > 0) {
     return;
   }
   auto it = view_certs_.find(w);
@@ -139,12 +124,12 @@ void ChainedReplica::BuildAndBroadcastProposal(View w, const BlockPtr& parent,
   proposed_hash_[w] = block->hash;
   store_.Add(block);
   MarkProposed(block);
-  PruneBelow(proposed_hash_, cur_view_);
-  PruneBelow(view_certs_, cur_view_);
+  PruneBelow(proposed_hash_, view());
+  PruneBelow(view_certs_, view());
   for (auto& votes : votes_) {
-    PruneBelow(votes, cur_view_);
+    PruneBelow(votes, view());
   }
-  PruneBelow(commit_certs_, cur_view_);
+  PruneBelow(commit_certs_, view());
   // The leader takes part in its own block too (self-delivery): with f Byzantine backups
   // every f+1 quorum must be reachable from the leader plus f correct backups.
   BroadcastToReplicas(MakePropose(block, *block_cert), /*include_self=*/true);
@@ -175,7 +160,7 @@ void ChainedReplica::OnNewView(const SignedCert& view_cert) {
     return;
   }
   const View w = view_cert.aux;  // Certificate's target view.
-  if (LeaderOf(w) != id() || w + kPruneHorizon < cur_view_ || proposed_hash_.count(w) > 0) {
+  if (LeaderOf(w) != id() || w + kPruneHorizon < view() || proposed_hash_.count(w) > 0) {
     return;
   }
   ChargeVerifyPlain(1);
@@ -276,8 +261,8 @@ void ChainedReplica::OnBlocksSynced() {
   for (auto& [from, msg] : decides) {
     HandleMessage(from, msg);
   }
-  TryProposeFromCommit(cur_view_);
-  TryProposeFromViewCerts(cur_view_);
+  TryProposeFromCommit(view());
+  TryProposeFromViewCerts(view());
 }
 
 }  // namespace achilles

@@ -1,9 +1,10 @@
 // Untrusted view-change driver shared by the chained, TEE-checked family: Achilles,
-// Damysus and OneShot (paper §4 and Appendix A). It owns the pacemaker view, NEW-VIEW
-// collection into the trusted accumulator, the commit-certificate hand-off to the next
-// leader, both proposal triggers, f+1 vote collection, DECIDE with chained commit, and the
-// replay of stashed work after a block sync. Each protocol keeps only its own phases and
-// plugs its trusted checker and wire messages in through the hooks below.
+// Damysus and OneShot (paper §4 and Appendix A). On top of ReplicaBase's pacemaker it owns
+// the view-change steps (timeout, trusted NEW-VIEW, rejoin at boot), NEW-VIEW collection
+// into the trusted accumulator, the commit-certificate hand-off to the next leader, both
+// proposal triggers, f+1 vote collection, DECIDE with chained commit, and the replay of
+// stashed work after a block sync. Each protocol keeps only its own phases and plugs its
+// trusted checker and wire messages in through the hooks below.
 #ifndef SRC_CONSENSUS_CHAINED_REPLICA_H_
 #define SRC_CONSENSUS_CHAINED_REPLICA_H_
 
@@ -17,9 +18,6 @@
 namespace achilles {
 
 class ChainedReplica : public ReplicaBase {
- public:
-  View current_view() const { return cur_view_; }
-
  protected:
   // Signature domains of the protocol's NEW-VIEW certificates and of its commit votes (the
   // commit certificate a DECIDE carries verifies under the latter).
@@ -46,17 +44,13 @@ class ChainedReplica : public ReplicaBase {
   // A verified DECIDE for `block` was just committed (Achilles records recovery state).
   virtual void OnDecided(const BlockPtr& /*block*/, const QuorumCert& /*cert*/) {}
 
-  // --- View entry and the pacemaker ---
-  // Raises the pacemaker view to `v` (journaled); never lowers it.
-  void EnterView(View v);
-  // Progress in view `v`: enter it and restart the back-off from the base timeout.
-  void NoteProgress(View v);
+  // --- View change (the pacemaker itself lives in ReplicaBase) ---
   // Jumps the checker to `target` and sends its NEW-VIEW certificate to leader(target).
   void AdvanceViaNewView(View target);
   // Boot with an active checker: genesis enters view 1; a restored view v is journaled and
   // one view is burned past it, since messages may have gone out in v before the crash.
   void RejoinAtTrustedView();
-  void OnViewTimeout(View view) override;
+  void OnViewTimeout(View armed) override;
   // Replays stashed proposals and decides, then retries both proposal triggers.
   void OnBlocksSynced() override;
 
@@ -85,8 +79,6 @@ class ChainedReplica : public ReplicaBase {
   void EnterViewAfterCommit(View new_view, const MessageRef& decide, const QuorumCert& cert);
 
   const Domains domains_;
-  View cur_view_ = 0;
-  uint32_t consecutive_timeouts_ = 0;
 
   // Leader-side collections, pruned together below the current view.
   std::map<View, std::vector<SignedCert>> view_certs_;

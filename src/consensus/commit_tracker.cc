@@ -9,13 +9,9 @@ CommitTracker::CommitTracker(uint32_t num_replicas)
       replica_height_(num_replicas, 0),
       replica_committed_(num_replicas) {}
 
-void CommitTracker::OnPropose(const BlockPtr& block) {
-  propose_times_.emplace(block->hash, block->propose_time);
-}
-
 void CommitTracker::OnPropose(NodeId proposer, const BlockPtr& block) {
   proposer_of_.emplace(block->hash, proposer);
-  OnPropose(block);
+  propose_times_.emplace(block->hash, block->propose_time);
   for (const ProposeListener& listener : propose_listeners_) {
     listener(proposer, block);
   }

@@ -26,16 +26,9 @@ class CommitTracker {
 
   // Application hook: invoked once per (replica, block) commit — this is how replicated
   // state machines consume the agreed sequence (see examples/replicated_kv.cc and
-  // src/app/kv_service.h). SetCommitListener replaces every installed listener (legacy
-  // single-consumer semantics); AddCommitListener appends, letting the chaos runner and
-  // the KV app observe commits side by side.
+  // src/app/kv_service.h). Listeners append and fire in registration order, so the
+  // chaos runner, tests and the KV app observe commits side by side.
   using CommitListener = std::function<void(NodeId, const BlockPtr&, SimTime)>;
-  void SetCommitListener(CommitListener listener) {
-    listeners_.clear();
-    if (listener) {
-      listeners_.push_back(std::move(listener));
-    }
-  }
   void AddCommitListener(CommitListener listener) {
     if (listener) {
       listeners_.push_back(std::move(listener));
@@ -60,8 +53,7 @@ class CommitTracker {
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
   // --- Called by replicas / clients ---
-  void OnPropose(const BlockPtr& block);
-  // Attributed form used by ReplicaBase::MarkProposed: additionally records which replica
+  // Called by ReplicaBase::MarkProposed: records the propose time and which replica
   // proposed the block, exposed via ProposerOf. Exact for every protocol (Raft's leader is
   // whoever won the election, not view % n, so LeaderOfView cannot substitute).
   void OnPropose(NodeId proposer, const BlockPtr& block);
@@ -86,7 +78,7 @@ class CommitTracker {
   uint64_t total_committed_txs() const { return txs_committed_total_; }
   // The committed hash at `height` (from the audit map); ZeroHash if none.
   Hash256 committed_hash_at(Height h) const;
-  // The replica that proposed `hash` (from the attributed OnPropose); kNoProposer when the
+  // The replica that proposed `hash` (from OnPropose); kNoProposer when the
   // block was never seen through MarkProposed (e.g. hand-built test blocks).
   static constexpr NodeId kNoProposer = ~NodeId{0};
   NodeId ProposerOf(const Hash256& hash) const;

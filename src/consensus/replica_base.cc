@@ -14,6 +14,7 @@ ReplicaBase::ReplicaBase(const ReplicaContext& ctx)
 
 InvariantSnapshot ReplicaBase::Invariants() const {
   InvariantSnapshot snap;
+  snap.view = view_;
   snap.committed_height = last_committed_height_;
   snap.committed_hash = last_committed_hash_;
   snap.counter_value = ctx_.platform->counter().value();
@@ -336,27 +337,37 @@ constexpr double kTimeoutMultiplier = 2.0;
 constexpr SimDuration kMaxViewTimeout = Sec(30);
 }  // namespace
 
-void ReplicaBase::ArmViewTimer(View view, uint32_t consecutive_timeouts) {
-  CancelViewTimer();
+bool ReplicaBase::EnterView(View v) {
+  if (v <= view_) {
+    return false;
+  }
+  view_ = v;
+  JournalEvent(obs::JournalKind::kViewEnter, view_);
+  return true;
+}
+
+void ReplicaBase::NoteProgress(View v) {
+  EnterView(v);
+  ResetBackoff();
+  ArmViewTimer();
+}
+
+void ReplicaBase::ArmTimer(uint32_t doublings) {
+  if (view_timer_armed_) {
+    host().CancelTimer(view_timer_);
+  }
   double factor = 1.0;
-  for (uint32_t i = 0; i < consecutive_timeouts && factor < 1e6; ++i) {
+  for (uint32_t i = 0; i < doublings && factor < 1e6; ++i) {
     factor *= kTimeoutMultiplier;
   }
   const SimDuration timeout = std::min<SimDuration>(
       kMaxViewTimeout,
       static_cast<SimDuration>(static_cast<double>(ctx_.params.base_timeout) * factor));
   view_timer_armed_ = true;
-  view_timer_ = host().SetTimer(timeout, [this, view] {
+  view_timer_ = host().SetTimer(timeout, [this, armed = view_] {
     view_timer_armed_ = false;
-    OnViewTimeout(view);
+    OnViewTimeout(armed);
   });
-}
-
-void ReplicaBase::CancelViewTimer() {
-  if (view_timer_armed_) {
-    host().CancelTimer(view_timer_);
-    view_timer_armed_ = false;
-  }
 }
 
 void ReplicaBase::RequestBlock(NodeId from_peer, const Hash256& want) {

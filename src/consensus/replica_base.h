@@ -1,6 +1,6 @@
 // Common machinery for every replica implementation: identity and quorum math, message
 // sending with CPU cost accounting, the shared block store, chained commit + client replies,
-// view timers (pacemaker), and block synchronization.
+// the pacemaker (view, journaled view entry, timeout back-off), and block synchronization.
 #ifndef SRC_CONSENSUS_REPLICA_BASE_H_
 #define SRC_CONSENSUS_REPLICA_BASE_H_
 
@@ -17,6 +17,40 @@
 
 namespace achilles {
 
+// Which deliberately-broken variant to run: oracle self-tests of the chaos harness ONLY
+// (tools/chaos_main --broken). The harness must FLAG these — a broken run that passes the
+// oracles is the failure. The chaos runner pins each variant's protocol and defense.
+enum class BrokenVariant {
+  kNone,
+  kRecoveryNonce,    // Achilles driver+checker skip the recovery-nonce freshness check:
+                     // replies recorded during an earlier recovery round become acceptable.
+  kCounterCompare,   // -R checker skips the sealed-version vs counter rollback compare, so
+                     // stale sealed state is installed silently instead of crash-stopping.
+  kStaleReadLease,   // KV lease grantors skip the client-response withholding, so a deposed
+                     // leaseholder can serve stale reads (caught by the linearizability
+                     // oracle, not by any replica-side audit). Forces --app kv.
+  kStaleSnapshotAccept,  // Snapshot state transfer drops every safety check: responders
+                         // serve their oldest retained snapshot and requesters force-install
+                         // it, rolling a lagging rejoiner back below its own committed
+                         // prefix (caught by the checkpoint oracle).
+  kQuorumRestoreSkip,    // Rollbaccine backend restores from the local blob without
+                         // consulting the peer replicas, so a rolled-back seal installs
+                         // silently (caught by the defense version-monotonic oracle).
+                         // Forces Damysus-R with --defense rollbaccine.
+  kCertFloorSkip,        // Healer backend installs the local blob without checking the
+                         // quorum's certified version floor — same silent stale install,
+                         // certificate flavor. Forces Damysus-R with --defense healer.
+};
+
+// The variants that disable restore-time freshness verification: the counter compare under
+// the local backend, the peer-quorum consult / certified-floor check under the quorum ones
+// (Backend::Open's `verify` parameter).
+inline bool SkipsRestoreCheck(BrokenVariant broken) {
+  return broken == BrokenVariant::kCounterCompare ||
+         broken == BrokenVariant::kQuorumRestoreSkip ||
+         broken == BrokenVariant::kCertFloorSkip;
+}
+
 struct ProtocolParams {
   uint32_t n = 3;                       // Replica count.
   uint32_t f = 1;                       // Fault threshold.
@@ -25,14 +59,7 @@ struct ProtocolParams {
   // NEW-VIEW optimization (§4.4): hand the commitment certificate straight to the next
   // leader instead of running the NEW-VIEW collection. Off only for the ablation bench.
   bool commit_fast_path = true;
-
-  // --- Deliberately-broken variants (chaos-harness oracle self-tests ONLY) ---
-  // Disables Achilles' recovery-reply nonce freshness check (checker and untrusted driver
-  // alike): replies recorded during an earlier recovery round become acceptable again.
-  bool break_recovery_nonce = false;
-  // Disables the -R checkers' sealed-version == persistent-counter compare on restore:
-  // stale sealed state is installed silently instead of crash-stopping.
-  bool break_counter_compare = false;
+  BrokenVariant broken = BrokenVariant::kNone;  // Chaos oracle self-tests ONLY.
 
   // Vote and commit-certificate quorum for every protocol: n - f, which is f+1 of 2f+1
   // and 2f+1 of 3f+1.
@@ -85,12 +112,16 @@ class ReplicaBase : public IProcess {
   void OnMessage(uint32_t from, const MessageRef& msg) final;
 
   // Read-side accessors used by the harness.
+  // The pacemaker view: the view of the chained family and HotStuff, the epoch of FlexiBFT
+  // and MinBFT. Raft keeps its own term (RaftReplica::term()) and leaves this at 0.
+  View view() const { return view_; }
   Height last_committed_height() const { return last_committed_height_; }
   const BlockStore& store() const { return store_; }
   const Mempool& mempool() const { return mempool_; }
 
-  // Invariant digest for the chaos oracles. The base fills the committed prefix and the
-  // platform counter; each protocol overrides to add its trusted view/version/fault state.
+  // Invariant digest for the chaos oracles. The base fills the pacemaker view, the committed
+  // prefix and the platform counter; protocols with trusted state override to report their
+  // trusted view/version/fault state.
   virtual InvariantSnapshot Invariants() const;
 
   // --- Checkpointing / snapshot state transfer (src/checkpoint) ---
@@ -118,8 +149,8 @@ class ReplicaBase : public IProcess {
 
  protected:
   virtual void HandleMessage(NodeId from, const MessageRef& msg) = 0;
-  // Pacemaker expiry for the view armed via ArmViewTimer.
-  virtual void OnViewTimeout(View /*view*/) {}
+  // Pacemaker expiry of the timer ArmViewTimer armed in view `armed`.
+  virtual void OnViewTimeout(View /*armed*/) {}
   // A previously missing block (and its ancestors) became available.
   virtual void OnBlocksSynced() {}
   // A stable checkpoint was just persisted locally. The base truncates the in-memory block
@@ -221,10 +252,32 @@ class ReplicaBase : public IProcess {
   bool EnsureAncestry(const Hash256& target, NodeId peer);
 
   // --- Pacemaker ---
-  // Arms (or re-arms) the single view timer for `view`, with exponential back-off driven by
-  // `consecutive_timeouts`. OnViewTimeout(view) fires unless re-armed or cancelled.
-  void ArmViewTimer(View view, uint32_t consecutive_timeouts);
-  void CancelViewTimer();
+  // One policy under every back-off protocol (the chained family, HotStuff, FlexiBFT,
+  // MinBFT): the view only rises and each entry is journaled; each expiry doubles the next
+  // timeout; progress resets it to base_timeout.
+  // Boot: adopts the view read back from durable state, unjournaled (OnStart journals the
+  // view the incarnation starts in).
+  void RestoreView(View v) { view_ = v; }
+  // Raises the view to `v` and journals the entry; never lowers it. True iff it rose.
+  bool EnterView(View v);
+  // Progress in view `v`: enter it, reset the back-off and arm the base timeout.
+  void NoteProgress(View v);
+  // Resets the back-off without arming; the next ArmViewTimer waits base_timeout (HotStuff's
+  // commit, which re-arms only if it enters a new view).
+  void ResetBackoff() { consecutive_timeouts_ = 0; }
+  // Timeout step: counts one more consecutive expiry and returns the view to move to.
+  View NoteTimeout() {
+    ++consecutive_timeouts_;
+    return view_ + 1;
+  }
+  // Arms (or re-arms) the single view timer for view(): base_timeout doubled once per
+  // consecutive timeout, capped at kMaxViewTimeout. OnViewTimeout(view()) fires unless
+  // the timer is re-armed before it expires.
+  void ArmViewTimer() { ArmTimer(consecutive_timeouts_); }
+  // Arms the view timer at base_timeout but keeps the back-off count: the FlexiBFT and
+  // MinBFT leader that just formed an epoch-change quorum (its count resets on the first
+  // vote or commit of the new epoch).
+  void ArmBaseTimeout() { ArmTimer(0); }
 
   // Per-view collections (votes, NEW-VIEW certificates, proposals) are bounded by n per
   // view; entries more than kPruneHorizon views behind `horizon` are dropped lazily to keep
@@ -254,11 +307,14 @@ class ReplicaBase : public IProcess {
   Height last_persisted_ckpt_ = 0;   // Dedup guard for PersistStableCheckpoint.
 
  private:
+  void ArmTimer(uint32_t doublings);
   void HandleFetchRequest(NodeId from, const BlockFetchRequest& req);
   void HandleFetchResponse(const BlockFetchResponse& resp);
 
   ReplicaContext ctx_;
   std::unique_ptr<EnclaveRuntime> enclave_;
+  View view_ = 0;
+  uint32_t consecutive_timeouts_ = 0;
   uint64_t view_timer_ = 0;
   bool view_timer_armed_ = false;
   bool client_replies_enabled_ = true;

@@ -9,7 +9,7 @@ DamysusReplica::DamysusReplica(const ReplicaContext& ctx, bool initial_launch)
   } else {
     // Local restore: sealed state (+ counter check in -R). nullptr => crash-stop.
     checker_ = DamysusChecker::Restore(&enclave(), ctx.params.n, ctx.params.f,
-                                       ctx.params.break_counter_compare);
+                                       SkipsRestoreCheck(ctx.params.broken));
     RestoreStableCheckpoint();
   }
 }

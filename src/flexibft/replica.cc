@@ -98,7 +98,7 @@ FlexiBftReplica::FlexiBftReplica(const ReplicaContext& ctx, bool initial_launch)
 
 void FlexiBftReplica::RestoreDurableState() {
   sequencer_.Restore();
-  epoch_ = sequencer_.epoch();
+  RestoreView(sequencer_.epoch());
   // Replay the ordered-block log so a restored leader proposes on top of what it already
   // sequenced. Records at or past the sequence frontier were appended but never ordered
   // (Order() failed after the append) and are ignored.
@@ -116,9 +116,9 @@ void FlexiBftReplica::RestoreDurableState() {
 }
 
 void FlexiBftReplica::OnStart() {
-  JournalEvent(obs::JournalKind::kViewEnter, epoch_);
-  ArmViewTimer(epoch_, 0);
-  if (LeaderOfEpoch(epoch_) == id()) {
+  JournalEvent(obs::JournalKind::kViewEnter, view());
+  ArmViewTimer();
+  if (LeaderOfEpoch(view()) == id()) {
     // Small self-kick loop: propose as soon as transactions exist.
     host().SetTimer(Ms(1), [this] { TryPropose(); });
   }
@@ -135,7 +135,7 @@ void FlexiBftReplica::HandleMessage(NodeId from, const MessageRef& msg) {
 }
 
 void FlexiBftReplica::TryPropose() {
-  if (LeaderOfEpoch(epoch_) != id()) {
+  if (LeaderOfEpoch(view()) != id()) {
     return;
   }
   if (proposal_outstanding_) {
@@ -145,14 +145,14 @@ void FlexiBftReplica::TryPropose() {
   std::vector<Transaction> batch = mempool_.TakeBatch(params().batch_size);
   ChargeExecute(batch.size());
   const BlockPtr block =
-      Block::Create(/*view=*/epoch_, last_proposed_, std::move(batch), LocalNow());
+      Block::Create(/*view=*/view(), last_proposed_, std::move(batch), LocalNow());
   ChargeHashBytes(block->WireSize());
   // Log the block before ordering it: the sequencer's sync inside Order() makes both
   // durable in the same barrier, so the restored log can never lag the burned sequence
   // number. If Order() fails the orphan record stays below the frontier filter on replay.
   const Bytes record = EncodeBlockRecord(*block);
   Wal(kLogWal).Append(ByteView(record.data(), record.size()), storage::SyncMode::kAsync);
-  const auto cert = sequencer_.Order(*block, block->height, epoch_);
+  const auto cert = sequencer_.Order(*block, block->height, view());
   if (!cert) {
     host().SetTimer(Ms(1), [this] { TryPropose(); });
     return;
@@ -169,7 +169,7 @@ void FlexiBftReplica::TryPropose() {
 
 void FlexiBftReplica::OnPropose(NodeId from, const std::shared_ptr<const FbProposeMsg>& msg) {
   const uint64_t cert_epoch = msg->order_cert.aux;
-  if (msg->block == nullptr || cert_epoch < epoch_ ||
+  if (msg->block == nullptr || cert_epoch < view() ||
       msg->order_cert.sig.signer != LeaderOfEpoch(cert_epoch) ||
       msg->order_cert.hash != msg->block->hash ||
       msg->order_cert.view != msg->block->height) {
@@ -180,14 +180,11 @@ void FlexiBftReplica::OnPropose(NodeId from, const std::shared_ptr<const FbPropo
   if (!platform().suite().Verify(msg->order_cert.sig, ByteView(digest.data(), digest.size()))) {
     return;
   }
-  if (cert_epoch > epoch_) {
+  if (cert_epoch > view()) {
     // Epoch fast-forward: a valid order certificate from the leader of a newer epoch is
     // proof the cluster moved on. This is how a rebooted backup — which by design keeps no
     // durable state — rejoins at the current epoch instead of timing out once per epoch.
-    epoch_ = cert_epoch;
-    consecutive_timeouts_ = 0;
-    JournalEvent(obs::JournalKind::kViewEnter, epoch_);
-    ArmViewTimer(epoch_, 0);
+    NoteProgress(cert_epoch);
   }
   if (!AcceptBlock(msg->block)) {
     return;
@@ -202,13 +199,12 @@ void FlexiBftReplica::OnPropose(NodeId from, const std::shared_ptr<const FbPropo
   }
   cand.voted = true;
   last_voted_seq_ = msg->block->height;
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(epoch_, 0);
+  NoteProgress(view());
 
   SignedCert vote;
   vote.hash = msg->block->hash;
   vote.view = msg->block->height;
-  vote.aux = epoch_;
+  vote.aux = view();
   ChargeSignPlain();
   const Bytes vote_digest = vote.Digest(kFbVote);
   vote.sig = platform().suite().Sign(id(), ByteView(vote_digest.data(), vote_digest.size()));
@@ -218,7 +214,7 @@ void FlexiBftReplica::OnPropose(NodeId from, const std::shared_ptr<const FbPropo
 }
 
 void FlexiBftReplica::OnVote(const FbVoteMsg& msg) {
-  if (msg.vote.aux != epoch_) {
+  if (msg.vote.aux != view()) {
     return;
   }
   Candidate& cand = candidates_[msg.vote.hash];
@@ -246,7 +242,7 @@ void FlexiBftReplica::TryCommit(const Hash256& hash) {
       it->second.votes.size() < quorum() || it->second.block == nullptr) {
     return;
   }
-  if (!EnsureAncestry(hash, LeaderOfEpoch(epoch_))) {
+  if (!EnsureAncestry(hash, LeaderOfEpoch(view()))) {
     return;
   }
   it->second.committed = true;
@@ -254,32 +250,30 @@ void FlexiBftReplica::TryCommit(const Hash256& hash) {
   const size_t qc_wire = it->second.votes.size() * (4 + 64);
   const bool was_last_proposed = it->second.block == last_proposed_;
   CommitChain(it->second.block, qc_wire);
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(epoch_, 0);
+  NoteProgress(view());
   // Drop finished candidates to keep long runs memory-stable.
   std::erase_if(candidates_, [this](const auto& entry) {
     return entry.second.block != nullptr &&
            entry.second.block->height + 8 < last_committed_height_;
   });
-  if (LeaderOfEpoch(epoch_) == id() && was_last_proposed) {
+  if (LeaderOfEpoch(view()) == id() && was_last_proposed) {
     proposal_outstanding_ = false;
     TryPropose();
   }
 }
 
-void FlexiBftReplica::OnViewTimeout(View /*view*/) {
+void FlexiBftReplica::OnViewTimeout(View /*armed*/) {
   // No commit progress: move to the next epoch and tell everyone our committed prefix.
-  ++consecutive_timeouts_;
-  ++epoch_;
+  EnterView(NoteTimeout());
   proposal_outstanding_ = false;
   candidates_.clear();
   last_voted_seq_ = last_committed_height_;
-  ArmViewTimer(epoch_, consecutive_timeouts_);
+  ArmViewTimer();
 
   SignedCert cert;
   cert.hash = last_committed_hash_;
   cert.view = last_committed_height_;
-  cert.aux = epoch_;
+  cert.aux = view();
   ChargeSignPlain();
   const Bytes digest = cert.Digest(kFbEpoch);
   cert.sig = platform().suite().Sign(id(), ByteView(digest.data(), digest.size()));
@@ -291,7 +285,7 @@ void FlexiBftReplica::OnViewTimeout(View /*view*/) {
 
 void FlexiBftReplica::OnEpochChange(NodeId /*from*/, const FbEpochChangeMsg& msg) {
   const uint64_t new_epoch = msg.cert.aux;
-  if (new_epoch < epoch_ || LeaderOfEpoch(new_epoch) != id()) {
+  if (new_epoch < view() || LeaderOfEpoch(new_epoch) != id()) {
     return;
   }
   ChargeVerifyPlain(1);
@@ -323,14 +317,13 @@ void FlexiBftReplica::OnEpochChange(NodeId /*from*/, const FbEpochChangeMsg& msg
   if (!sequencer_.StartEpoch(new_epoch, base->height + 1)) {
     return;
   }
-  epoch_ = new_epoch;
-  JournalEvent(obs::JournalKind::kViewEnter, epoch_);
-  JournalEvent(obs::JournalKind::kLeaderElected, epoch_, id());
+  EnterView(new_epoch);
+  JournalEvent(obs::JournalKind::kLeaderElected, new_epoch, id());
   last_proposed_ = base;
   proposal_outstanding_ = false;
   candidates_.clear();
   epoch_msgs_.erase(epoch_msgs_.begin(), epoch_msgs_.upper_bound(new_epoch));
-  ArmViewTimer(epoch_, 0);
+  ArmBaseTimeout();
   TryPropose();
 }
 

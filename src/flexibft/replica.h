@@ -82,17 +82,10 @@ class FlexiBftReplica : public ReplicaBase {
   FlexiBftReplica(const ReplicaContext& ctx, bool initial_launch);
 
   void OnStart() override;
-  uint64_t epoch() const { return epoch_; }
-
-  InvariantSnapshot Invariants() const override {
-    InvariantSnapshot snap = ReplicaBase::Invariants();
-    snap.view = epoch_;
-    return snap;
-  }
 
  protected:
   void HandleMessage(NodeId from, const MessageRef& msg) override;
-  void OnViewTimeout(View view) override;
+  void OnViewTimeout(View armed) override;
   void OnBlocksSynced() override;
   // Log compaction: drops the ordered-block log prefix a stable checkpoint subsumes.
   void OnStableCheckpoint(const checkpoint::CheckpointCert& cert) override;
@@ -108,8 +101,6 @@ class FlexiBftReplica : public ReplicaBase {
 
   bool initial_launch_;
   FlexiSequencer sequencer_;
-  uint64_t epoch_ = 0;
-  uint32_t consecutive_timeouts_ = 0;
 
   // Leader state.
   BlockPtr last_proposed_;

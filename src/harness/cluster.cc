@@ -107,7 +107,7 @@ Cluster::Cluster(const ClusterConfig& config)
     }
     kv_service_ = std::make_unique<app::KvService>(std::move(replica_hosts), &net_,
                                                    &tracker_, kv_client_host_id(),
-                                                   config_.kv, &metrics_);
+                                                   config_.kv, config_.broken, &metrics_);
     tracker_.AddCommitListener([this](NodeId replica, const BlockPtr& block, SimTime now) {
       kv_service_->OnCommit(replica, block, now);
     });
@@ -122,7 +122,7 @@ Cluster::Cluster(const ClusterConfig& config)
     }
     ckpt_manager_ = std::make_unique<checkpoint::CheckpointManager>(
         std::move(replica_platforms), &net_, &suite_, config_.costs, config_.ckpt,
-        CheckpointQuorum(), &metrics_);
+        config_.broken, CheckpointQuorum(), &metrics_);
     ckpt_manager_->AttachReplicas(&replica_ptrs_);
     if (kv_service_ != nullptr) {
       ckpt_manager_->AttachKv(kv_service_.get());
@@ -151,8 +151,7 @@ ReplicaContext Cluster::ContextFor(uint32_t id) {
   ctx.params.batch_size = config_.batch_size;
   ctx.params.base_timeout = config_.base_timeout;
   ctx.params.commit_fast_path = config_.commit_fast_path;
-  ctx.params.break_recovery_nonce = config_.break_recovery_nonce;
-  ctx.params.break_counter_compare = config_.break_counter_compare;
+  ctx.params.broken = config_.broken;
   ctx.ckpt = config_.ckpt;
   // Checkpoint traffic is consumed first; everything else chains to the KvService.
   ctx.app = ckpt_manager_ != nullptr ? static_cast<AppMessageSink*>(ckpt_manager_.get())

@@ -116,16 +116,15 @@ struct ClusterConfig {
   bool critpath = false;
   // Flight recorder (src/obs/journal.h).
   bool journaling = false;
-  // Deliberately-broken protocol variants (ProtocolParams docs); chaos self-tests only.
-  bool break_recovery_nonce = false;
-  bool break_counter_compare = false;
+  // Deliberately-broken variant (src/consensus/replica_base.h); chaos self-tests only.
+  BrokenVariant broken = BrokenVariant::kNone;
   // Replicated KV application (src/app). When on, a KvService executes the agreed log
   // behind every replica (with leader read-leases) and a closed-loop KV client population
   // on host n+1 records the client-observed history for the linearizability oracle. The
   // background ClientProcess keeps running: its op=0 transactions are pure load, which
   // keeps blocks flowing even while every KV session waits on a response.
   bool app_kv = false;
-  app::KvAppOptions kv;        // Lease parameters; kv.break_stale_read_lease plants the bug.
+  app::KvAppOptions kv;        // Lease parameters.
   KvClientConfig kv_client;    // Topology fields (n/f/hosts/payload) are overwritten.
   // Protocol-aware checkpointing (src/checkpoint). When ckpt.enabled, a CheckpointManager
   // certifies boundary commits, truncates WALs and block stores behind stable checkpoints,

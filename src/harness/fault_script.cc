@@ -228,7 +228,7 @@ FaultScript SampleFaultScript(const ScriptParams& params, Rng& rng) {
       // Targeted nonce-freshness attack (Achilles only): crash the same node a second time
       // and have the runner re-inject the first round's recorded recovery replies the
       // moment the second incarnation boots. An honest checker rejects them (nonce
-      // mismatch); the break_recovery_nonce variant completes recovery on stale state.
+      // mismatch); the kRecoveryNonce variant completes recovery on stale state.
       bool followup_placed = false;
       if (!attack_placed && traits.recovery &&
           reboot_at + Ms(700) <= params.heal_at - Ms(350) && rng.Chance(0.35)) {

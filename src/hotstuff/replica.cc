@@ -58,12 +58,12 @@ const char* HsPhaseDomain(HsPhase phase) {
 }
 
 HotStuffReplica::HotStuffReplica(const ReplicaContext& ctx, bool initial_launch)
-    : ReplicaBase(ctx), initial_launch_(initial_launch) {
+    : ReplicaBase(ctx) {
   // Genesis QC: empty certificate referencing the genesis block.
   prepare_qc_.hash = Block::Genesis()->hash;
   prepare_qc_.view = 0;
   locked_qc_ = prepare_qc_;
-  if (!initial_launch_) {
+  if (!initial_launch) {
     RestoreStableCheckpoint();
     RestoreDurableState();
   }
@@ -81,14 +81,14 @@ void HotStuffReplica::RestoreDurableState() {
   if (!view || !ReadQc(r, prepare_qc) || !ReadQc(r, locked_qc) || r.remaining() != 0) {
     return;
   }
-  cur_view_ = *view;
+  RestoreView(*view);
   prepare_qc_ = std::move(prepare_qc);
   locked_qc_ = std::move(locked_qc);
 }
 
 void HotStuffReplica::PersistState() {
   ByteWriter w;
-  w.U64(cur_view_);
+  w.U64(view());
   WriteQc(w, prepare_qc_);
   WriteQc(w, locked_qc_);
   HostRecords().Put(kStateKey, ByteView(w.bytes().data(), w.bytes().size()));
@@ -96,34 +96,29 @@ void HotStuffReplica::PersistState() {
 
 void HotStuffReplica::OnStart() {
   // A rebooted replica may have voted in the restored view, so that view is burned:
-  // re-entering view+1 is what makes a second PREPARE vote there impossible. (EnterView
-  // would also refuse `cur_view_` because only view 1 may be re-entered.)
-  EnterView(initial_launch_ ? 1 : cur_view_ + 1);
+  // entering view+1 is what makes a second PREPARE vote there impossible.
+  AdvanceViaNewView(view() + 1);
 }
 
-void HotStuffReplica::EnterView(View view) {
-  if (view <= cur_view_ && view != 1) {
+void HotStuffReplica::AdvanceViaNewView(View target) {
+  if (!EnterView(target)) {
     return;
   }
-  cur_view_ = view;
-  JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
   PersistState();  // The view entry must survive a reboot (restored view is burned).
-  ArmViewTimer(cur_view_, consecutive_timeouts_);
+  ArmViewTimer();
   auto msg = std::make_shared<HsNewViewMsg>();
-  msg->view = view;
+  msg->view = target;
   msg->prepare_qc = prepare_qc_;
   ChargeSignPlain();
-  const Bytes digest = CertDigest(kHsNewView, prepare_qc_.hash, view);
+  const Bytes digest = CertDigest(kHsNewView, prepare_qc_.hash, target);
   msg->sig = platform().suite().Sign(id(), ByteView(digest.data(), digest.size()));
-  SendTo(LeaderOf(view), msg);
+  SendTo(LeaderOf(target), msg);
 }
 
-void HotStuffReplica::OnViewTimeout(View view) {
-  if (view != cur_view_) {
-    return;
+void HotStuffReplica::OnViewTimeout(View armed) {
+  if (armed == view()) {
+    AdvanceViaNewView(NoteTimeout());
   }
-  ++consecutive_timeouts_;
-  EnterView(cur_view_ + 1);
 }
 
 void HotStuffReplica::HandleMessage(NodeId from, const MessageRef& msg) {
@@ -139,7 +134,7 @@ void HotStuffReplica::HandleMessage(NodeId from, const MessageRef& msg) {
 }
 
 void HotStuffReplica::OnNewView(const HsNewViewMsg& msg) {
-  if (LeaderOf(msg.view) != id() || msg.view + kPruneHorizon < cur_view_ ||
+  if (LeaderOf(msg.view) != id() || msg.view + kPruneHorizon < view() ||
       proposed_hash_.count(msg.view) > 0) {
     return;
   }
@@ -158,10 +153,10 @@ void HotStuffReplica::OnNewView(const HsNewViewMsg& msg) {
   TryPropose(msg.view);
 }
 
-void HotStuffReplica::TryPropose(View view) {
-  auto it = new_views_.find(view);
-  if (it == new_views_.end() || it->second.size() < quorum() || view < cur_view_ ||
-      proposed_hash_.count(view) > 0) {
+void HotStuffReplica::TryPropose(View v) {
+  auto it = new_views_.find(v);
+  if (it == new_views_.end() || it->second.size() < quorum() || v < view() ||
+      proposed_hash_.count(v) > 0) {
     return;
   }
   // Extend the highest prepare QC among the collected new-views (and our own).
@@ -177,21 +172,18 @@ void HotStuffReplica::TryPropose(View view) {
   const BlockPtr parent = store_.Get(high->hash);
   std::vector<Transaction> batch = mempool_.TakeBatch(params().batch_size);
   ChargeExecute(batch.size());
-  const BlockPtr block = Block::Create(view, parent, std::move(batch), LocalNow());
+  const BlockPtr block = Block::Create(v, parent, std::move(batch), LocalNow());
   ChargeHashBytes(block->WireSize());
-  if (view > cur_view_) {
-    cur_view_ = view;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-  proposed_hash_[view] = block->hash;
+  EnterView(v);
+  proposed_hash_[v] = block->hash;
   store_.Add(block);
   MarkProposed(block);
-  PruneBelow(new_views_, cur_view_);
-  PruneBelow(proposed_hash_, cur_view_);
+  PruneBelow(new_views_, v);
+  PruneBelow(proposed_hash_, v);
   for (auto& votes : votes_) {
-    PruneBelow(votes, cur_view_);
+    PruneBelow(votes, v);
   }
-  PruneBelow(phase_done_, cur_view_);
+  PruneBelow(phase_done_, v);
 
   auto msg = std::make_shared<HsProposeMsg>();
   msg->block = block;
@@ -209,7 +201,7 @@ bool HotStuffReplica::SafeToVote(const BlockPtr& block, const QuorumCert& justif
 }
 
 void HotStuffReplica::OnPropose(NodeId from, const std::shared_ptr<const HsProposeMsg>& msg) {
-  if (msg->block == nullptr || msg->block->view < cur_view_ ||
+  if (msg->block == nullptr || msg->block->view < view() ||
       LeaderOf(msg->block->view) != from) {
     return;
   }
@@ -235,12 +227,7 @@ void HotStuffReplica::OnPropose(NodeId from, const std::shared_ptr<const HsPropo
   if (!SafeToVote(msg->block, msg->justify)) {
     return;
   }
-  if (msg->block->view > cur_view_) {
-    cur_view_ = msg->block->view;
-    JournalEvent(obs::JournalKind::kViewEnter, cur_view_);
-  }
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(cur_view_, 0);
+  NoteProgress(msg->block->view);
   PersistState();  // The view we PREPARE-vote in hits disk before the vote leaves.
   SendVote(HsPhase::kPrepare, msg->block->hash, msg->block->view);
 }
@@ -326,8 +313,8 @@ void HotStuffReplica::OnQc(NodeId from, const std::shared_ptr<const HsQcMsg>& ms
         return;
       }
       CommitChain(block, qc.WireSize());
-      consecutive_timeouts_ = 0;
-      EnterView(qc.view + 1);
+      ResetBackoff();
+      AdvanceViaNewView(qc.view + 1);
       return;
     }
   }
@@ -339,7 +326,7 @@ void HotStuffReplica::OnBlocksSynced() {
   for (auto& [from, msg] : proposals) {
     OnPropose(from, msg);
   }
-  TryPropose(cur_view_);
+  TryPropose(view());
 }
 
 }  // namespace achilles

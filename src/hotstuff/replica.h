@@ -64,37 +64,29 @@ class HotStuffReplica : public ReplicaBase {
   HotStuffReplica(const ReplicaContext& ctx, bool initial_launch);
 
   void OnStart() override;
-  View current_view() const { return cur_view_; }
-
-  InvariantSnapshot Invariants() const override {
-    InvariantSnapshot snap = ReplicaBase::Invariants();
-    snap.view = cur_view_;
-    return snap;
-  }
 
  protected:
   void HandleMessage(NodeId from, const MessageRef& msg) override;
-  void OnViewTimeout(View view) override;
+  void OnViewTimeout(View armed) override;
   void OnBlocksSynced() override;
 
  private:
-  void EnterView(View view);
+  // Enters `target` (durably), arms the view timer and sends leader(target) a NEW-VIEW
+  // carrying the highest prepare QC. No-op unless `target` is above view().
+  void AdvanceViaNewView(View target);
   void OnNewView(const HsNewViewMsg& msg);
-  void TryPropose(View view);
+  void TryPropose(View v);
   void OnPropose(NodeId from, const std::shared_ptr<const HsProposeMsg>& msg);
   void OnVote(const HsVoteMsg& msg);
   void OnQc(NodeId from, const std::shared_ptr<const HsQcMsg>& msg);
   void SendVote(HsPhase phase, const Hash256& hash, View view);
   bool SafeToVote(const BlockPtr& block, const QuorumCert& justify) const;
 
-  // Syncs (cur_view_, prepare_qc_, locked_qc_) to the host record store: must precede any
+  // Syncs (view(), prepare_qc_, locked_qc_) to the host record store: must precede any
   // message that makes the view entry, QC adoption, or lock observable.
   void PersistState();
   void RestoreDurableState();
 
-  bool initial_launch_;
-  View cur_view_ = 0;
-  uint32_t consecutive_timeouts_ = 0;
   QuorumCert prepare_qc_;  // Highest prepare QC seen (generic QC in HotStuff terms).
   QuorumCert locked_qc_;   // Lock from the COMMIT phase.
 

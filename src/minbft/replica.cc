@@ -37,7 +37,7 @@ void MinBftReplica::RestoreDurableState() {
     const auto hash = r.Raw(32);
     const auto usig_counter = r.U64();
     if (epoch && voted_epoch && hash && usig_counter && r.remaining() == 0) {
-      epoch_ = *epoch;
+      RestoreView(*epoch);
       voted_epoch_ = *voted_epoch;
       std::copy(hash->begin(), hash->end(), voted_hash.begin());
       usig_.ResumeFrom(*usig_counter);
@@ -80,7 +80,7 @@ void MinBftReplica::RestoreDurableState() {
 
 void MinBftReplica::PersistMeta() {
   ByteWriter w;
-  w.U64(epoch_);
+  w.U64(view());
   w.U64(voted_epoch_);
   const Hash256 voted_hash = voted_block_ != nullptr ? voted_block_->hash : ZeroHash();
   w.Raw(ByteView(voted_hash.data(), voted_hash.size()));
@@ -99,9 +99,9 @@ void MinBftReplica::AppendToLog(const BlockPtr& block) {
 }
 
 void MinBftReplica::OnStart() {
-  JournalEvent(obs::JournalKind::kViewEnter, epoch_);
-  ArmViewTimer(epoch_, 0);
-  if (LeaderOfEpoch(epoch_) == id()) {
+  JournalEvent(obs::JournalKind::kViewEnter, view());
+  ArmViewTimer();
+  if (LeaderOfEpoch(view()) == id()) {
     host().SetTimer(Ms(1), [this] { TryPropose(); });
   }
 }
@@ -117,7 +117,7 @@ void MinBftReplica::HandleMessage(NodeId from, const MessageRef& msg) {
 }
 
 void MinBftReplica::TryPropose() {
-  if (LeaderOfEpoch(epoch_) != id()) {
+  if (LeaderOfEpoch(view()) != id()) {
     return;
   }
   if (proposal_outstanding_) {
@@ -127,7 +127,7 @@ void MinBftReplica::TryPropose() {
   std::vector<Transaction> batch = mempool_.TakeBatch(params().batch_size);
   ChargeExecute(batch.size());
   const BlockPtr block =
-      Block::Create(/*view=*/epoch_, last_proposed_, std::move(batch), LocalNow());
+      Block::Create(/*view=*/view(), last_proposed_, std::move(batch), LocalNow());
   ChargeHashBytes(block->WireSize());
   ProposeBlock(block);
 }
@@ -139,7 +139,7 @@ void MinBftReplica::ProposeBlock(const BlockPtr& block) {
   MarkProposed(block);
   auto msg = std::make_shared<MinPrepareMsg>();
   msg->block = block;
-  msg->epoch = epoch_;
+  msg->epoch = view();
   msg->ui = usig_.CreateUi(block->hash);  // Counter write #1 on the critical path.
   AppendToLog(block);
   PersistMeta();  // Message log + counter mirror hit disk before the PREPARE leaves.
@@ -147,7 +147,7 @@ void MinBftReplica::ProposeBlock(const BlockPtr& block) {
 }
 
 void MinBftReplica::OnPrepare(NodeId from, const std::shared_ptr<const MinPrepareMsg>& msg) {
-  if (msg->block == nullptr || msg->epoch != epoch_ || from != LeaderOfEpoch(epoch_)) {
+  if (msg->block == nullptr || msg->epoch != view() || from != LeaderOfEpoch(view())) {
     return;
   }
   if (!usig_.VerifyUi(msg->ui, msg->block->hash)) {
@@ -167,13 +167,12 @@ void MinBftReplica::OnPrepare(NodeId from, const std::shared_ptr<const MinPrepar
   }
   cand.self_committed = true;
   voted_block_ = msg->block;  // Latest vote supersedes; reported in epoch changes.
-  voted_epoch_ = epoch_;
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(epoch_, 0);
+  voted_epoch_ = view();
+  NoteProgress(view());
 
   auto out = std::make_shared<MinCommitMsg>();
   out->block_hash = msg->block->hash;
-  out->epoch = epoch_;
+  out->epoch = view();
   // Certify the commit with our own USIG: counter write #2 on the critical path (every
   // backup pays it). Leader-side equivocation is excluded by the leader's UI stream.
   out->ui = usig_.CreateUi(msg->block->hash);
@@ -183,7 +182,7 @@ void MinBftReplica::OnPrepare(NodeId from, const std::shared_ptr<const MinPrepar
 }
 
 void MinBftReplica::OnCommit(NodeId from, const MinCommitMsg& msg) {
-  if (msg.epoch != epoch_) {
+  if (msg.epoch != view()) {
     return;
   }
   Candidate& cand = candidates_[msg.block_hash];
@@ -207,7 +206,7 @@ void MinBftReplica::TryFinalize(const Hash256& hash) {
       it->second.commits.size() < quorum()) {  // f+1 of 2f+1.
     return;
   }
-  if (!EnsureAncestry(hash, LeaderOfEpoch(epoch_))) {
+  if (!EnsureAncestry(hash, LeaderOfEpoch(view()))) {
     return;
   }
   it->second.committed = true;
@@ -215,28 +214,25 @@ void MinBftReplica::TryFinalize(const Hash256& hash) {
   const bool was_last_proposed = it->second.block == last_proposed_;
   const size_t cert_wire = it->second.commits.size() * (4 + 64);
   CommitChain(it->second.block, cert_wire);
-  consecutive_timeouts_ = 0;
-  ArmViewTimer(epoch_, 0);
+  NoteProgress(view());
   std::erase_if(candidates_, [this](const auto& entry) {
     return entry.second.block != nullptr &&
            entry.second.block->height + 8 < last_committed_height_;
   });
-  if (LeaderOfEpoch(epoch_) == id() && was_last_proposed) {
+  if (LeaderOfEpoch(view()) == id() && was_last_proposed) {
     proposal_outstanding_ = false;
     TryPropose();
   }
 }
 
-void MinBftReplica::OnViewTimeout(View /*view*/) {
-  ++consecutive_timeouts_;
-  ++epoch_;
-  JournalEvent(obs::JournalKind::kViewEnter, epoch_);
+void MinBftReplica::OnViewTimeout(View /*armed*/) {
+  EnterView(NoteTimeout());
   PersistMeta();  // The epoch bump must survive a reboot (no replayed-epoch votes).
   proposal_outstanding_ = false;
   candidates_.clear();
-  ArmViewTimer(epoch_, consecutive_timeouts_);
+  ArmViewTimer();
   auto msg = std::make_shared<MinEpochChangeMsg>();
-  msg->new_epoch = epoch_;
+  msg->new_epoch = view();
   msg->committed_height = last_committed_height_;
   msg->committed_hash = last_committed_hash_;
   msg->committed_block = store_.Get(last_committed_hash_);
@@ -246,7 +242,7 @@ void MinBftReplica::OnViewTimeout(View /*view*/) {
 }
 
 void MinBftReplica::OnEpochChange(NodeId from, const MinEpochChangeMsg& msg) {
-  if (msg.new_epoch < epoch_ || LeaderOfEpoch(msg.new_epoch) != id() ||
+  if (msg.new_epoch < view() || LeaderOfEpoch(msg.new_epoch) != id() ||
       msg.new_epoch + 1 <= ec_done_epoch_plus1_) {
     return;
   }
@@ -284,18 +280,16 @@ void MinBftReplica::OnEpochChange(NodeId from, const MinEpochChangeMsg& msg) {
   if (base == nullptr) {
     return;
   }
-  if (msg.new_epoch > epoch_) {
-    epoch_ = msg.new_epoch;
-    JournalEvent(obs::JournalKind::kViewEnter, epoch_);
+  if (EnterView(msg.new_epoch)) {
     PersistMeta();  // Adopted epoch must survive a reboot.
   }
-  JournalEvent(obs::JournalKind::kLeaderElected, epoch_, id());
-  ec_done_epoch_plus1_ = epoch_ + 1;
+  JournalEvent(obs::JournalKind::kLeaderElected, view(), id());
+  ec_done_epoch_plus1_ = view() + 1;
   last_proposed_ = base;
   proposal_outstanding_ = false;
   candidates_.clear();
   epoch_msgs_.erase(epoch_msgs_.begin(), epoch_msgs_.upper_bound(msg.new_epoch));
-  ArmViewTimer(epoch_, 0);
+  ArmBaseTimeout();
   if (best_voted != nullptr && best_voted->height > best_height) {
     // A vote beyond the committed prefix may back a block that already gathered a commit
     // quorum somewhere: re-propose that exact block rather than forking past it.

@@ -61,17 +61,10 @@ class MinBftReplica : public ReplicaBase {
   MinBftReplica(const ReplicaContext& ctx, bool initial_launch);
 
   void OnStart() override;
-  uint64_t epoch() const { return epoch_; }
-
-  InvariantSnapshot Invariants() const override {
-    InvariantSnapshot snap = ReplicaBase::Invariants();
-    snap.view = epoch_;
-    return snap;
-  }
 
  protected:
   void HandleMessage(NodeId from, const MessageRef& msg) override;
-  void OnViewTimeout(View view) override;
+  void OnViewTimeout(View armed) override;
   void OnBlocksSynced() override;
   // Log compaction: drops the message-log prefix a stable checkpoint subsumes.
   void OnStableCheckpoint(const checkpoint::CheckpointCert& cert) override;
@@ -96,8 +89,6 @@ class MinBftReplica : public ReplicaBase {
   bool initial_launch_;
   Usig usig_;
   UsigVerifier verifier_;
-  uint64_t epoch_ = 0;
-  uint32_t consecutive_timeouts_ = 0;
 
   BlockPtr last_proposed_;
   bool proposal_outstanding_ = false;

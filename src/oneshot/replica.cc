@@ -10,7 +10,7 @@ OneShotReplica::OneShotReplica(const ReplicaContext& ctx, bool initial_launch)
     checker_ = std::make_unique<OneShotChecker>(&enclave(), ctx.params.n, ctx.params.f);
   } else {
     checker_ = OneShotChecker::Restore(&enclave(), ctx.params.n, ctx.params.f,
-                                       ctx.params.break_counter_compare);
+                                       SkipsRestoreCheck(ctx.params.broken));
     RestoreStableCheckpoint();
   }
 }

@@ -125,8 +125,6 @@ void RaftReplica::ArmElectionTimer() {
   });
 }
 
-void RaftReplica::OnViewTimeout(View /*view*/) {}
-
 void RaftReplica::StartElection() {
   role_ = Role::kCandidate;
   ++term_;

@@ -72,7 +72,6 @@ class RaftReplica : public ReplicaBase {
 
  protected:
   void HandleMessage(NodeId from, const MessageRef& msg) override;
-  void OnViewTimeout(View view) override;
   void OnBlocksSynced() override;
   // Log compaction: drops the WAL prefix a stable checkpoint subsumes (charged as fsync).
   void OnStableCheckpoint(const checkpoint::CheckpointCert& cert) override;

@@ -70,7 +70,7 @@ struct OpenResult {
 // until the backend's durability+freshness guarantee holds (quorum backends charge the
 // round trip). Open is the per-incarnation recover entry point: it returns the surviving
 // record with the backend's freshness verdict; `verify` = false skips the freshness check
-// (the deliberately-broken chaos variants; see BrokenVariant in src/chaos/runner.h).
+// (the deliberately-broken chaos variants; see BrokenVariant in src/consensus/replica_base.h).
 class Backend {
  public:
   virtual ~Backend() = default;

@@ -93,7 +93,7 @@ TEST(DamysusTest, HonestRebootRestoresFromSeal) {
   auto* rebooted = dynamic_cast<DamysusReplica*>(cluster.replica(2));
   ASSERT_NE(rebooted, nullptr);
   EXPECT_FALSE(rebooted->halted());
-  EXPECT_GT(rebooted->current_view(), 0u);
+  EXPECT_GT(rebooted->view(), 0u);
   EXPECT_FALSE(cluster.tracker().safety_violated());
 }
 

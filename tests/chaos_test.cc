@@ -11,7 +11,6 @@
 namespace achilles {
 namespace {
 
-using chaos::BrokenVariant;
 using chaos::ChaosOptions;
 using chaos::ChaosResult;
 using chaos::MinimizeResult;

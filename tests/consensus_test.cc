@@ -670,7 +670,7 @@ TEST(CommitTrackerTest, ThroughputAndCommitLatency) {
   CommitTracker tracker(3);
   tracker.StartMeasurement(0);
   auto b1 = Block::Create(1, Block::Genesis(), MakeTxs(1, 100), Ms(10));
-  tracker.OnPropose(b1);
+  tracker.OnPropose(0, b1);
   tracker.OnCommit(0, b1, Ms(30));
   tracker.OnCommit(1, b1, Ms(31));  // Later commits of the same block don't re-count.
   tracker.EndMeasurement(Sec(1));
@@ -704,7 +704,7 @@ TEST(CommitTrackerTest, EndToEndLatencyFromClientConfirm) {
   CommitTracker tracker(3);
   tracker.StartMeasurement(0);
   auto b1 = Block::Create(1, Block::Genesis(), MakeTxs(1, 2, /*t=*/Ms(5)), Ms(10));
-  tracker.OnPropose(b1);
+  tracker.OnPropose(0, b1);
   tracker.OnClientConfirm(b1, Ms(45));
   tracker.OnClientConfirm(b1, Ms(60));  // Second reply ignored.
   tracker.EndMeasurement(Sec(1));
@@ -728,11 +728,11 @@ TEST(CommitTrackerTest, HeightsTracked) {
 TEST(CommitTrackerTest, MeasurementWindowFiltersEarlyCommits) {
   CommitTracker tracker(1);
   auto warmup = Block::Create(1, Block::Genesis(), MakeTxs(1, 50), 0);
-  tracker.OnPropose(warmup);
+  tracker.OnPropose(0, warmup);
   tracker.OnCommit(0, warmup, Ms(1));  // Before the window starts.
   tracker.StartMeasurement(Ms(100));
   auto measured = Block::Create(2, warmup, MakeTxs(2, 70), Ms(150));
-  tracker.OnPropose(measured);
+  tracker.OnPropose(0, measured);
   tracker.OnCommit(0, measured, Ms(160));
   tracker.EndMeasurement(Ms(1100));
   EXPECT_DOUBLE_EQ(tracker.ThroughputTps(), 70.0);

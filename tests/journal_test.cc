@@ -16,7 +16,6 @@
 namespace achilles {
 namespace {
 
-using chaos::BrokenVariant;
 using chaos::ChaosOptions;
 using chaos::ChaosResult;
 using obs::Journal;

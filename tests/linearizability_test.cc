@@ -18,7 +18,6 @@ namespace {
 
 using app::KvOpKind;
 using app::KvOpRecord;
-using chaos::BrokenVariant;
 using chaos::ChaosOptions;
 using chaos::ChaosResult;
 using chaos::CheckKvHistory;

@@ -216,7 +216,7 @@ TEST_P(DefenseBackendTest, UnverifiedOpenInstallsStaleState) {
   f.device().SetRollbackMode(RollbackMode::kLatest);
   // All three skip their freshness check and serve the rolled-back record as fresh —
   // exactly the silent stale install the chaos version-monotonic oracle exists to catch
-  // (BrokenVariant kQuorumRestoreSkip / kCertFloorSkip in src/chaos/runner.h).
+  // (BrokenVariant kQuorumRestoreSkip / kCertFloorSkip in src/consensus/replica_base.h).
   EXPECT_EQ(r.status, OpenStatus::kFresh);
   ASSERT_TRUE(r.record.has_value());
   EXPECT_EQ(*r.record, B({1}));

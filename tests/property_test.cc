@@ -5,7 +5,9 @@
 
 #include <tuple>
 
+#include "src/common/rng.h"
 #include "src/harness/cluster.h"
+#include "src/harness/fault_script.h"
 
 namespace achilles {
 namespace {
@@ -48,7 +50,7 @@ TEST_P(InvariantGrid, SafetyLivenessAndChainStructure) {
   std::vector<Hash256> last_hash(cluster.num_replicas(), Block::Genesis()->hash);
   bool heights_monotone = true;
   bool parents_linked = true;
-  cluster.tracker().SetCommitListener(
+  cluster.tracker().AddCommitListener(
       [&](NodeId replica, const BlockPtr& block, SimTime /*now*/) {
         if (block->height <= last_height[replica]) {
           heights_monotone = false;
@@ -103,7 +105,7 @@ TEST_P(DeterminismGrid, IdenticalSeedsIdenticalHistories) {
     GridParam param{GetParam(), 1, NetKind::kLan, seed};
     Cluster cluster(ConfigFor(param));
     std::vector<Hash256> commits;
-    cluster.tracker().SetCommitListener(
+    cluster.tracker().AddCommitListener(
         [&](NodeId replica, const BlockPtr& block, SimTime now) {
           if (replica == 0) {
             commits.push_back(block->hash);
@@ -237,6 +239,56 @@ TEST(PartitionTest, MinoritySideCannotCommit) {
   EXPECT_LE(cluster.tracker().committed_height(0), h0 + 1);
   EXPECT_GT(cluster.tracker().committed_height(3), h0 + 5);
   EXPECT_FALSE(cluster.tracker().safety_violated());
+}
+
+// Pacemaker journal property: every view a replica enters is journaled, so a live
+// replica's latest view-enter record names the view it is in. Checked at the end of a few
+// sampled chaos scripts (crashes, reboots, partitions, stalls, Byzantine peers) per
+// back-off family, with the flight recorder on. Raft keeps its own term and is not one.
+TEST(PacemakerJournalTest, LatestViewEnterIsTheCurrentView) {
+  for (Protocol protocol : {Protocol::kAchilles, Protocol::kDamysus, Protocol::kOneShot,
+                            Protocol::kHotStuff, Protocol::kFlexiBft, Protocol::kMinBft}) {
+    for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+      Rng rng(seed);
+      ScriptParams params;
+      params.protocol = protocol;
+      params.heal_at = Ms(1400);
+      params.liveness_window = Sec(3);
+      const FaultScript script = SampleFaultScript(params, rng);
+      ClusterConfig config;
+      config.protocol = protocol;
+      config.batch_size = 20;
+      config.payload_size = 16;
+      config.base_timeout = Ms(100);
+      config.client_rate_tps = 500.0;
+      config.seed = seed;
+      config.journaling = true;
+      config.ckpt.enabled = true;
+      config.ckpt.interval = 8;
+      Cluster cluster(config);
+      cluster.InstallFaultScript(script);
+      cluster.Start();
+      cluster.sim().RunUntil(script.horizon);
+      const obs::Journal& journal = *cluster.recorder().journal();
+      for (uint32_t id = 0; id < cluster.num_replicas(); ++id) {
+        const ReplicaBase* replica = cluster.replica(id);
+        if (replica == nullptr) {
+          continue;  // Crashed and not rebooted.
+        }
+        // Records of the current incarnation only; none yet means the view is still 0
+        // (an Achilles replica whose recovery has not finished).
+        uint64_t latest = 0;
+        for (const obs::JournalRecord& record : journal.NodeEvents(id)) {
+          if (record.kind == obs::JournalKind::kViewEnter &&
+              record.incarnation == journal.incarnation(id)) {
+            latest = record.a;
+          }
+        }
+        EXPECT_EQ(latest, replica->view())
+            << ProtocolName(protocol) << " seed " << seed << " node " << id;
+      }
+    }
+  }
 }
 
 }  // namespace
