@@ -163,9 +163,7 @@ void ChainedReplica::OnNewView(const SignedCert& view_cert) {
   if (LeaderOf(w) != id() || w + kPruneHorizon < view() || proposed_hash_.count(w) > 0) {
     return;
   }
-  ChargeVerifyPlain(1);
-  const Bytes digest = view_cert.Digest(domains_.new_view);
-  if (!platform().suite().Verify(view_cert.sig, ByteView(digest.data(), digest.size()))) {
+  if (!VerifyPlain(view_cert, domains_.new_view)) {
     return;
   }
   std::vector<SignedCert>& certs = view_certs_[w];
@@ -188,9 +186,7 @@ std::optional<QuorumCert> ChainedReplica::CollectVote(uint32_t phase, const Sign
   if (proposed == proposed_hash_.end() || vote.hash != proposed->second) {
     return std::nullopt;
   }
-  ChargeVerifyPlain(1);
-  const Bytes digest = vote.Digest(domain);
-  if (!platform().suite().Verify(vote.sig, ByteView(digest.data(), digest.size()))) {
+  if (!VerifyPlain(vote, domain)) {
     return std::nullopt;
   }
   std::vector<SignedCert>& votes = votes_[phase][v];

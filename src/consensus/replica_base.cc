@@ -90,6 +90,18 @@ void ReplicaBase::ChargeSignPlain() {
   host().ChargeCpuAs(obs::Component::kCrypto, ctx_.platform->costs().sign);
 }
 
+void ReplicaBase::SignPlain(SignedCert& cert, const char* domain) {
+  ChargeSignPlain();
+  const Bytes digest = cert.Digest(domain);
+  cert.sig = platform().suite().Sign(id(), ByteView(digest.data(), digest.size()));
+}
+
+bool ReplicaBase::VerifyPlain(const SignedCert& cert, const char* domain) {
+  ChargeVerifyPlain(1);
+  const Bytes digest = cert.Digest(domain);
+  return platform().suite().Verify(cert.sig, ByteView(digest.data(), digest.size()));
+}
+
 void ReplicaBase::MarkProposed(const BlockPtr& block) {
   tracker().OnPropose(id(), block);
   host().RestartPathAt(block->propose_time);
@@ -266,17 +278,16 @@ void ReplicaBase::PersistStableCheckpoint(const checkpoint::CheckpointCert& cert
   const Bytes cert_wire = cert.Encode();
   CheckpointCertStore().Put(checkpoint::kCertKey, ByteView(cert_wire.data(), cert_wire.size()));
   JournalEvent(obs::JournalKind::kCheckpointStable, cert.height, cert.sigs.size());
-  OnStableCheckpoint(cert);
-}
-
-void ReplicaBase::OnStableCheckpoint(const checkpoint::CheckpointCert& cert) {
-  // Truncate the in-memory block log behind the stable checkpoint, keeping the catch-up
+  // Truncate the in-memory block store behind the stable checkpoint, keeping the catch-up
   // slack: peers fewer than catchup_intervals * interval blocks behind still backfill via
   // block fetch, anything deeper goes through snapshot transfer instead.
   const Height slack =
       ctx_.ckpt.interval * static_cast<Height>(std::max<uint32_t>(1, ctx_.ckpt.catchup_intervals));
   if (cert.height > slack) {
     store_.PruneBelow(cert.height - slack);
+  }
+  if (block_log_) {
+    block_log_->CompactThrough(cert.height);
   }
 }
 

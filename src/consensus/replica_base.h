@@ -5,10 +5,13 @@
 #define SRC_CONSENSUS_REPLICA_BASE_H_
 
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
 #include "src/checkpoint/checkpoint.h"
+#include "src/consensus/block_log.h"
+#include "src/consensus/certificates.h"
 #include "src/consensus/commit_tracker.h"
 #include "src/consensus/mempool.h"
 #include "src/consensus/messages.h"
@@ -118,6 +121,8 @@ class ReplicaBase : public IProcess {
   Height last_committed_height() const { return last_committed_height_; }
   const BlockStore& store() const { return store_; }
   const Mempool& mempool() const { return mempool_; }
+  // The durable block log (FlexiBFT, MinBFT, Raft); nullptr for protocols without one.
+  const BlockLog* block_log() const { return block_log_ ? &*block_log_ : nullptr; }
 
   // Invariant digest for the chaos oracles. The base fills the pacemaker view, the committed
   // prefix and the platform counter; protocols with trusted state override to report their
@@ -137,9 +142,10 @@ class ReplicaBase : public IProcess {
   // restored block, or nullptr.
   BlockPtr RestoreStableCheckpoint();
   // Persists a freshly assembled stable checkpoint: snapshot payload host-durable, the
-  // certificate TEE-sealed (host-durable outside a TEE), then OnStableCheckpoint truncates
-  // logs behind it. Runs inside this replica's handler context (fsync/seal costs charged
-  // here). Called by the CheckpointManager.
+  // certificate TEE-sealed (host-durable outside a TEE), then truncates the logs behind it:
+  // the in-memory block store (minus the catch-up slack still served to backfilling peers)
+  // and the durable block log (charged as fsync). Runs inside this replica's handler
+  // context (fsync/seal costs charged here). Called by the CheckpointManager.
   void PersistStableCheckpoint(const checkpoint::CheckpointCert& cert, const BlockPtr& block);
   // Network state transfer: installs a fetched, verified snapshot as the committed prefix
   // (AdoptCheckpoint + floor bump + OnCheckpointAdopted head fix-up). `allow_regress` is
@@ -153,10 +159,6 @@ class ReplicaBase : public IProcess {
   virtual void OnViewTimeout(View /*armed*/) {}
   // A previously missing block (and its ancestors) became available.
   virtual void OnBlocksSynced() {}
-  // A stable checkpoint was just persisted locally. The base truncates the in-memory block
-  // store behind it (minus the catch-up slack still served to backfilling peers); protocols
-  // with durable logs override to also truncate their WAL prefix (charged as fsync).
-  virtual void OnStableCheckpoint(const checkpoint::CheckpointCert& cert);
   // A snapshot was adopted via state transfer; protocols that keep a log-head pointer
   // (Raft) override to advance it past the adopted block.
   virtual void OnCheckpointAdopted(const BlockPtr& /*block*/) {}
@@ -175,6 +177,9 @@ class ReplicaBase : public IProcess {
   // Host-durable metadata records (HostStableStorage::record_store()): every Put is a sync
   // put, so a crash never loses one.
   persist::Store& HostRecords();
+  // Opens the host WAL `name` as this replica's durable block log (constructors, before
+  // any replay); stable checkpoints compact it from then on.
+  void OpenBlockLog(const std::string& name) { block_log_.emplace(&Wal(name)); }
 
   NodeId id() const { return ctx_.platform->node_id(); }
   uint32_t n() const { return ctx_.params.n; }
@@ -209,6 +214,10 @@ class ReplicaBase : public IProcess {
   // `count` signatures over one message (quorum certificate): batched cost when cheaper.
   void ChargeVerifyBatch(size_t count);
   void ChargeSignPlain();
+  // Untrusted-side signing of `cert` by this replica, and verification of `cert`, under
+  // `domain`; each charged as above.
+  void SignPlain(SignedCert& cert, const char* domain);
+  bool VerifyPlain(const SignedCert& cert, const char* domain);
 
   // --- Observability ---
   // Announces a freshly built proposal: informs the tracker and restarts the latency
@@ -305,6 +314,7 @@ class ReplicaBase : public IProcess {
   Hash256 last_committed_hash_;
   Height ckpt_floor_ = 0;            // See checkpoint_floor().
   Height last_persisted_ckpt_ = 0;   // Dedup guard for PersistStableCheckpoint.
+  std::optional<BlockLog> block_log_;  // See OpenBlockLog().
 
  private:
   void ArmTimer(uint32_t doublings);

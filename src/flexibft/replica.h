@@ -7,11 +7,8 @@
 #ifndef SRC_FLEXIBFT_REPLICA_H_
 #define SRC_FLEXIBFT_REPLICA_H_
 
-#include <map>
-#include <vector>
-
 #include "src/consensus/certificates.h"
-#include "src/consensus/replica_base.h"
+#include "src/consensus/stable_leader_replica.h"
 #include "src/sim/process.h"
 
 namespace achilles {
@@ -77,48 +74,24 @@ class FlexiSequencer {
   uint64_t next_seq_ = 1;
 };
 
-class FlexiBftReplica : public ReplicaBase {
+class FlexiBftReplica : public StableLeaderReplica {
  public:
   FlexiBftReplica(const ReplicaContext& ctx, bool initial_launch);
 
-  void OnStart() override;
-
  protected:
   void HandleMessage(NodeId from, const MessageRef& msg) override;
-  void OnViewTimeout(View armed) override;
-  void OnBlocksSynced() override;
-  // Log compaction: drops the ordered-block log prefix a stable checkpoint subsumes.
-  void OnStableCheckpoint(const checkpoint::CheckpointCert& cert) override;
+  bool OrderBlock(const BlockPtr& block) override;
+  MessageRef MakeEpochChange() override;
+  bool AdoptEpoch(View epoch, const BlockPtr& base) override;
 
  private:
   void OnPropose(NodeId from, const std::shared_ptr<const FbProposeMsg>& msg);
   void OnVote(const FbVoteMsg& msg);
-  void OnEpochChange(NodeId from, const FbEpochChangeMsg& msg);
-  void TryPropose();
-  void TryCommit(const Hash256& hash);
-  NodeId LeaderOfEpoch(uint64_t epoch) const { return static_cast<NodeId>(epoch % n()); }
-  void RestoreDurableState();
+  void OnEpochChange(const FbEpochChangeMsg& msg);
 
-  bool initial_launch_;
   FlexiSequencer sequencer_;
-
-  // Leader state.
-  BlockPtr last_proposed_;
-  bool proposal_outstanding_ = false;
-
-  // Voting/commit state.
-  struct Candidate {
-    BlockPtr block;
-    std::vector<Signature> votes;
-    bool committed = false;
-    bool voted = false;
-  };
-  std::unordered_map<Hash256, Candidate, Hash256Hasher> candidates_;
+  // Highest height this replica voted for; a timeout resets it to the committed height.
   uint64_t last_voted_seq_ = 0;
-
-  // Epoch change collection.
-  std::map<uint64_t, std::map<NodeId, std::pair<Height, Hash256>>> epoch_msgs_;
-  Height epoch_start_height_ = 0;
 };
 
 }  // namespace achilles

@@ -237,9 +237,7 @@ void HotStuffReplica::SendVote(HsPhase phase, const Hash256& hash, View view) {
   msg->phase = phase;
   msg->vote.hash = hash;
   msg->vote.view = view;
-  ChargeSignPlain();
-  const Bytes digest = msg->vote.Digest(HsPhaseDomain(phase));
-  msg->vote.sig = platform().suite().Sign(id(), ByteView(digest.data(), digest.size()));
+  SignPlain(msg->vote, HsPhaseDomain(phase));
   SendTo(LeaderOf(view), msg);
 }
 
@@ -256,9 +254,7 @@ void HotStuffReplica::OnVote(const HsVoteMsg& msg) {
   if (phase_done_[v] > phase_index) {
     return;  // This phase's QC already formed.
   }
-  ChargeVerifyPlain(1);
-  const Bytes digest = msg.vote.Digest(HsPhaseDomain(msg.phase));
-  if (!platform().suite().Verify(msg.vote.sig, ByteView(digest.data(), digest.size()))) {
+  if (!VerifyPlain(msg.vote, HsPhaseDomain(msg.phase))) {
     return;
   }
   std::vector<SignedCert>& votes = votes_[phase_index][v];

@@ -13,22 +13,12 @@ constexpr const char* kLogWal = "minbft-log";
 }  // namespace
 
 MinBftReplica::MinBftReplica(const ReplicaContext& ctx, bool initial_launch)
-    : ReplicaBase(ctx),
-      initial_launch_(initial_launch),
+    : StableLeaderReplica(ctx, initial_launch, kLogWal),
       usig_(&enclave()),
       verifier_(ctx.params.n) {
-  last_proposed_ = Block::Genesis();
-  if (!initial_launch_) {
-    // Stable checkpoint first: it sets the committed floor the log replay filters
-    // against, and seeds the proposal chain when the whole log was compacted away.
-    if (const BlockPtr snapshot = RestoreStableCheckpoint()) {
-      last_proposed_ = snapshot;
-    }
-    RestoreDurableState();
+  if (initial_launch) {
+    return;
   }
-}
-
-void MinBftReplica::RestoreDurableState() {
   Hash256 voted_hash = ZeroHash();
   if (const std::optional<Bytes> meta = HostRecords().Get(kMetaKey)) {
     ByteReader r(ByteView(meta->data(), meta->size()));
@@ -50,18 +40,10 @@ void MinBftReplica::RestoreDurableState() {
   if (counter.spec().enabled()) {
     usig_.ResumeFrom(counter.ReadBlocking());
   }
-  // Replay the message log so the vote we certified last incarnation is still ours.
+  // Replay the message log so the vote we certified last incarnation is still ours; blocks
+  // the restored checkpoint subsumes are committed history.
   BlockPtr tip;
-  for (const Bytes& record : Wal(kLogWal).records()) {
-    const BlockPtr block = DecodeBlockRecord(ByteView(record.data(), record.size()));
-    if (block == nullptr) {
-      continue;  // Torn/unfinished record: everything after it is gone anyway.
-    }
-    logged_.insert(block->hash);  // Still durable: re-deliveries must not re-append.
-    if (block->height <= last_committed_height_) {
-      continue;  // Subsumed by the restored checkpoint; its vote is committed history.
-    }
-    store_.Add(block);
+  for (const BlockPtr& block : block_log_->Replay(last_committed_height_, store_)) {
     if (block->hash == voted_hash) {
       voted_block_ = block;
     }
@@ -88,24 +70,6 @@ void MinBftReplica::PersistMeta() {
   HostRecords().Put(kMetaKey, ByteView(w.bytes().data(), w.bytes().size()));
 }
 
-void MinBftReplica::AppendToLog(const BlockPtr& block) {
-  if (!logged_.insert(block->hash).second) {
-    return;  // Already durable (re-proposal across epochs); no second append.
-  }
-  const Bytes record = EncodeBlockRecord(*block);
-  // Async: every call site follows with PersistMeta(), whose sync makes the appended
-  // record durable in the same barrier (one disk, one fsync).
-  Wal(kLogWal).Append(ByteView(record.data(), record.size()), storage::SyncMode::kAsync);
-}
-
-void MinBftReplica::OnStart() {
-  JournalEvent(obs::JournalKind::kViewEnter, view());
-  ArmViewTimer();
-  if (LeaderOfEpoch(view()) == id()) {
-    host().SetTimer(Ms(1), [this] { TryPropose(); });
-  }
-}
-
 void MinBftReplica::HandleMessage(NodeId from, const MessageRef& msg) {
   if (auto prepare = std::dynamic_pointer_cast<const MinPrepareMsg>(msg)) {
     OnPrepare(from, prepare);
@@ -116,38 +80,21 @@ void MinBftReplica::HandleMessage(NodeId from, const MessageRef& msg) {
   }
 }
 
-void MinBftReplica::TryPropose() {
-  if (LeaderOfEpoch(view()) != id()) {
-    return;
-  }
-  if (proposal_outstanding_) {
-    host().SetTimer(Ms(1), [this] { TryPropose(); });
-    return;
-  }
-  std::vector<Transaction> batch = mempool_.TakeBatch(params().batch_size);
-  ChargeExecute(batch.size());
-  const BlockPtr block =
-      Block::Create(/*view=*/view(), last_proposed_, std::move(batch), LocalNow());
-  ChargeHashBytes(block->WireSize());
-  ProposeBlock(block);
-}
-
-void MinBftReplica::ProposeBlock(const BlockPtr& block) {
-  proposal_outstanding_ = true;
-  last_proposed_ = block;
-  store_.Add(block);
-  MarkProposed(block);
+bool MinBftReplica::OrderBlock(const BlockPtr& block) {
+  AdoptProposal(block);
   auto msg = std::make_shared<MinPrepareMsg>();
   msg->block = block;
   msg->epoch = view();
   msg->ui = usig_.CreateUi(block->hash);  // Counter write #1 on the critical path.
-  AppendToLog(block);
+  // Async: PersistMeta()'s sync makes the appended record durable in the same barrier.
+  block_log_->Append(*block, storage::SyncMode::kAsync);
   PersistMeta();  // Message log + counter mirror hit disk before the PREPARE leaves.
   BroadcastToReplicas(msg, /*include_self=*/true);
+  return true;
 }
 
 void MinBftReplica::OnPrepare(NodeId from, const std::shared_ptr<const MinPrepareMsg>& msg) {
-  if (msg->block == nullptr || msg->epoch != view() || from != LeaderOfEpoch(view())) {
+  if (msg->block == nullptr || msg->epoch != view() || from != LeaderOf(view())) {
     return;
   }
   if (!usig_.VerifyUi(msg->ui, msg->block->hash)) {
@@ -157,18 +104,11 @@ void MinBftReplica::OnPrepare(NodeId from, const std::shared_ptr<const MinPrepar
   if (!verifier_.AcceptMonotonic(from, msg->ui)) {
     return;
   }
-  if (!AcceptBlock(msg->block) || !EnsureAncestry(msg->block->hash, from)) {
+  if (!VoteFor(from, msg->block, /*may_vote=*/true)) {
     return;
   }
-  Candidate& cand = candidates_[msg->block->hash];
-  cand.block = msg->block;
-  if (cand.self_committed) {
-    return;
-  }
-  cand.self_committed = true;
   voted_block_ = msg->block;  // Latest vote supersedes; reported in epoch changes.
   voted_epoch_ = view();
-  NoteProgress(view());
 
   auto out = std::make_shared<MinCommitMsg>();
   out->block_hash = msg->block->hash;
@@ -176,7 +116,7 @@ void MinBftReplica::OnPrepare(NodeId from, const std::shared_ptr<const MinPrepar
   // Certify the commit with our own USIG: counter write #2 on the critical path (every
   // backup pays it). Leader-side equivocation is excluded by the leader's UI stream.
   out->ui = usig_.CreateUi(msg->block->hash);
-  AppendToLog(msg->block);
+  block_log_->Append(*msg->block, storage::SyncMode::kAsync);
   PersistMeta();  // The vote (and its UI counter) must survive a reboot.
   BroadcastToReplicas(out, /*include_self=*/true);  // All-to-all: O(n^2).
 }
@@ -185,52 +125,15 @@ void MinBftReplica::OnCommit(NodeId from, const MinCommitMsg& msg) {
   if (msg.epoch != view()) {
     return;
   }
-  Candidate& cand = candidates_[msg.block_hash];
-  if (cand.committed) {
-    return;
-  }
-  if (msg.ui.sig.signer != from || !usig_.VerifyUi(msg.ui, msg.block_hash)) {
-    return;
-  }
-  if (!verifier_.AcceptMonotonic(from, msg.ui)) {
-    return;
-  }
-  cand.commits.insert(from);
-  CritNote(0, JournalHash(msg.block_hash));
-  TryFinalize(msg.block_hash);
-}
-
-void MinBftReplica::TryFinalize(const Hash256& hash) {
-  auto it = candidates_.find(hash);
-  if (it == candidates_.end() || it->second.committed || it->second.block == nullptr ||
-      it->second.commits.size() < quorum()) {  // f+1 of 2f+1.
-    return;
-  }
-  if (!EnsureAncestry(hash, LeaderOfEpoch(view()))) {
-    return;
-  }
-  it->second.committed = true;
-  CritJoin(0, JournalHash(hash));
-  const bool was_last_proposed = it->second.block == last_proposed_;
-  const size_t cert_wire = it->second.commits.size() * (4 + 64);
-  CommitChain(it->second.block, cert_wire);
-  NoteProgress(view());
-  std::erase_if(candidates_, [this](const auto& entry) {
-    return entry.second.block != nullptr &&
-           entry.second.block->height + 8 < last_committed_height_;
+  CountVote(msg.block_hash, from, [&] {
+    // A sender's UI counter only rises, so each COMMIT counts once.
+    return msg.ui.sig.signer == from && usig_.VerifyUi(msg.ui, msg.block_hash) &&
+           verifier_.AcceptMonotonic(from, msg.ui);
   });
-  if (LeaderOfEpoch(view()) == id() && was_last_proposed) {
-    proposal_outstanding_ = false;
-    TryPropose();
-  }
 }
 
-void MinBftReplica::OnViewTimeout(View /*armed*/) {
-  EnterView(NoteTimeout());
+MessageRef MinBftReplica::MakeEpochChange() {
   PersistMeta();  // The epoch bump must survive a reboot (no replayed-epoch votes).
-  proposal_outstanding_ = false;
-  candidates_.clear();
-  ArmViewTimer();
   auto msg = std::make_shared<MinEpochChangeMsg>();
   msg->new_epoch = view();
   msg->committed_height = last_committed_height_;
@@ -238,94 +141,42 @@ void MinBftReplica::OnViewTimeout(View /*armed*/) {
   msg->committed_block = store_.Get(last_committed_hash_);
   msg->voted_epoch = voted_epoch_;
   msg->voted_block = voted_block_;
-  BroadcastToReplicas(msg, /*include_self=*/true);
+  return msg;
 }
 
 void MinBftReplica::OnEpochChange(NodeId from, const MinEpochChangeMsg& msg) {
-  if (msg.new_epoch < view() || LeaderOfEpoch(msg.new_epoch) != id() ||
-      msg.new_epoch + 1 <= ec_done_epoch_plus1_) {
-    return;
-  }
-  if (msg.committed_block != nullptr) {
-    AcceptBlock(msg.committed_block);
-  }
-  if (msg.voted_block != nullptr) {
-    AcceptBlock(msg.voted_block);
-  }
-  auto& collected = epoch_msgs_[msg.new_epoch];
-  collected[from] = {msg.committed_height, msg.committed_hash, msg.voted_epoch,
-                     msg.voted_block};
-  if (collected.size() < quorum()) {
-    return;
-  }
-  Height best_height = last_committed_height_;
-  Hash256 best_hash = last_committed_hash_;
-  // Our own state participates alongside the quorum's reports.
-  uint64_t best_voted_epoch = voted_epoch_;
-  BlockPtr best_voted = voted_block_;
-  for (const auto& [node, info] : collected) {
-    if (info.committed_height > best_height) {
-      best_height = info.committed_height;
-      best_hash = info.committed_hash;
-    }
-    if (info.voted_block != nullptr &&
-        (best_voted == nullptr ||
-         std::pair(info.voted_epoch, info.voted_block->height) >
-             std::pair(best_voted_epoch, best_voted->height))) {
-      best_voted_epoch = info.voted_epoch;
-      best_voted = info.voted_block;
-    }
-  }
-  const BlockPtr base = store_.Get(best_hash);
-  if (base == nullptr) {
-    return;
-  }
-  if (EnterView(msg.new_epoch)) {
+  // Unsigned, so keyed by the sending replica. Late messages for an epoch this replica was
+  // already elected in are dropped before they can rebuild a quorum and re-propose.
+  CollectEpochChange(
+      from, msg.new_epoch, msg.committed_block,
+      {msg.committed_height, msg.committed_hash, msg.voted_epoch, msg.voted_block},
+      [&] { return msg.new_epoch + 1 > ec_done_epoch_plus1_; });
+}
+
+bool MinBftReplica::AdoptEpoch(View epoch, const BlockPtr& /*base*/) {
+  if (EnterView(epoch)) {
     PersistMeta();  // Adopted epoch must survive a reboot.
   }
-  JournalEvent(obs::JournalKind::kLeaderElected, view(), id());
-  ec_done_epoch_plus1_ = view() + 1;
-  last_proposed_ = base;
-  proposal_outstanding_ = false;
-  candidates_.clear();
-  epoch_msgs_.erase(epoch_msgs_.begin(), epoch_msgs_.upper_bound(msg.new_epoch));
-  ArmBaseTimeout();
-  if (best_voted != nullptr && best_voted->height > best_height) {
-    // A vote beyond the committed prefix may back a block that already gathered a commit
-    // quorum somewhere: re-propose that exact block rather than forking past it.
-    ProposeBlock(best_voted);
-  } else {
-    TryPropose();
-  }
+  ec_done_epoch_plus1_ = epoch + 1;
+  return true;
 }
 
-void MinBftReplica::OnStableCheckpoint(const checkpoint::CheckpointCert& cert) {
-  ReplicaBase::OnStableCheckpoint(cert);
-  // Compact the message log: every record at or below the certified boundary is
-  // committed history the checkpoint now vouches for. The scan stops at the first
-  // record beyond the boundary so later out-of-order appends are never dropped.
-  storage::WriteAheadLog& wal = Wal(kLogWal);
-  size_t drop = 0;
-  for (const Bytes& record : wal.records()) {
-    const BlockPtr block = DecodeBlockRecord(ByteView(record.data(), record.size()));
-    if (block != nullptr && block->height > cert.height) {
-      break;
-    }
-    ++drop;
-  }
-  wal.TruncateFront(drop);
-}
-
-void MinBftReplica::OnBlocksSynced() {
-  std::vector<Hash256> ready;
-  for (const auto& [hash, cand] : candidates_) {
-    if (!cand.committed && cand.commits.size() >= quorum()) {
-      ready.push_back(hash);
+BlockPtr MinBftReplica::VotedAbove(const EpochReports& quorum, Height committed) const {
+  // Our own vote participates alongside the quorum's reports.
+  uint64_t best_epoch = voted_epoch_;
+  BlockPtr best = voted_block_;
+  for (const auto& [node, reported] : quorum) {
+    if (reported.voted_block != nullptr &&
+        (best == nullptr || std::pair(reported.voted_epoch, reported.voted_block->height) >
+                                std::pair(best_epoch, best->height))) {
+      best_epoch = reported.voted_epoch;
+      best = reported.voted_block;
     }
   }
-  for (const Hash256& hash : ready) {
-    TryFinalize(hash);
-  }
+  // A vote beyond the committed prefix may back a block that already gathered a commit
+  // quorum somewhere: the new leader re-proposes that exact block rather than forking past
+  // it.
+  return best != nullptr && best->height > committed ? best : nullptr;
 }
 
 }  // namespace achilles

@@ -12,11 +12,7 @@
 #ifndef SRC_MINBFT_REPLICA_H_
 #define SRC_MINBFT_REPLICA_H_
 
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
-
-#include "src/consensus/replica_base.h"
+#include "src/consensus/stable_leader_replica.h"
 #include "src/minbft/usig.h"
 #include "src/sim/process.h"
 
@@ -56,59 +52,28 @@ struct MinEpochChangeMsg : SimMessage {
   }
 };
 
-class MinBftReplica : public ReplicaBase {
+class MinBftReplica : public StableLeaderReplica {
  public:
   MinBftReplica(const ReplicaContext& ctx, bool initial_launch);
 
-  void OnStart() override;
-
  protected:
   void HandleMessage(NodeId from, const MessageRef& msg) override;
-  void OnViewTimeout(View armed) override;
-  void OnBlocksSynced() override;
-  // Log compaction: drops the message-log prefix a stable checkpoint subsumes.
-  void OnStableCheckpoint(const checkpoint::CheckpointCert& cert) override;
+  bool OrderBlock(const BlockPtr& block) override;
+  MessageRef MakeEpochChange() override;
+  bool AdoptEpoch(View epoch, const BlockPtr& base) override;
+  BlockPtr VotedAbove(const EpochReports& quorum, Height committed) const override;
 
  private:
-  void TryPropose();
-  void ProposeBlock(const BlockPtr& block);
   void OnPrepare(NodeId from, const std::shared_ptr<const MinPrepareMsg>& msg);
   void OnCommit(NodeId from, const MinCommitMsg& msg);
   void OnEpochChange(NodeId from, const MinEpochChangeMsg& msg);
-  void TryFinalize(const Hash256& hash);
-  NodeId LeaderOfEpoch(uint64_t epoch) const { return static_cast<NodeId>(epoch % n()); }
 
   // Syncs (epoch, voted epoch, voted hash, USIG counter) to the host record store: must
   // precede any message whose UI counter or epoch it reflects.
   void PersistMeta();
-  // Appends `block` to the durable message log with an fsync, once per block per
-  // incarnation.
-  void AppendToLog(const BlockPtr& block);
-  void RestoreDurableState();
 
-  bool initial_launch_;
   Usig usig_;
   UsigVerifier verifier_;
-
-  BlockPtr last_proposed_;
-  bool proposal_outstanding_ = false;
-
-  struct Candidate {
-    BlockPtr block;
-    std::set<NodeId> commits;
-    bool committed = false;
-    bool self_committed = false;
-  };
-  std::unordered_map<Hash256, Candidate, Hash256Hasher> candidates_;
-  // Blocks already in the durable message log (rebuilt from the WAL on reboot).
-  std::unordered_set<Hash256, Hash256Hasher> logged_;
-  struct EpochInfo {
-    Height committed_height = 0;
-    Hash256 committed_hash = ZeroHash();
-    uint64_t voted_epoch = 0;
-    BlockPtr voted_block;
-  };
-  std::map<uint64_t, std::map<NodeId, EpochInfo>> epoch_msgs_;
 
   // Our own highest commit-phase vote (survives epoch changes; reported in ECs).
   BlockPtr voted_block_;

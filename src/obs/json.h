@@ -1,13 +1,10 @@
-// Minimal JSON support for the observability subsystem: a streaming writer (metric
-// snapshots, bench reports, Chrome traces) and a small recursive-descent parser used by
-// tests to round-trip what the writer emits. No external dependencies.
+// Minimal JSON writer for the observability subsystem: metric snapshots, bench reports,
+// Chrome traces. No external dependencies. Tools and tests read the output back with the
+// header-only reader in tools/json_reader.h.
 #ifndef SRC_OBS_JSON_H_
 #define SRC_OBS_JSON_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,29 +54,6 @@ class JsonWriter {
   std::vector<bool> has_element_;  // Per open scope.
   bool pending_key_ = false;
 };
-
-// Parsed JSON value. Numbers are kept as doubles (sufficient for round-trip tests).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-  bool is_number() const { return kind == Kind::kNumber; }
-  bool is_string() const { return kind == Kind::kString; }
-
-  // Object lookup; nullptr when absent or not an object.
-  const JsonValue* Get(const std::string& key) const;
-};
-
-// Parses a complete JSON document. Returns nullopt on any syntax error or trailing junk.
-std::optional<JsonValue> ParseJson(const std::string& text);
 
 }  // namespace obs
 }  // namespace achilles

@@ -1,7 +1,5 @@
 #include "src/raft/replica.h"
 
-#include <algorithm>
-
 #include "src/common/serde.h"
 
 namespace achilles {
@@ -15,6 +13,7 @@ RaftReplica::RaftReplica(const ReplicaContext& ctx, bool initial_launch)
     : ReplicaBase(ctx), initial_launch_(initial_launch) {
   head_ = Block::Genesis();
   set_client_replies_enabled(false);  // Only the leader answers clients in Raft.
+  OpenBlockLog(kLogWal);
   if (!initial_launch_) {
     // Checkpoint first: the restored boundary becomes the committed prefix, and WAL replay
     // below skips the records the snapshot subsumes (they were truncated at checkpoint
@@ -38,38 +37,12 @@ void RaftReplica::RestoreDurableState() {
   }
   // Replay the log; the tail (highest (term, height)) becomes head_ again, so the election
   // restriction and re-replication behave as if the crash never happened.
-  for (const Bytes& record : Wal(kLogWal).records()) {
-    const BlockPtr block = DecodeBlockRecord(ByteView(record.data(), record.size()));
-    if (block == nullptr) {
-      continue;  // Torn/unfinished record: everything after it is gone anyway.
-    }
-    logged_.insert(block->hash);
-    if (block->height <= last_committed_height_) {
-      continue;  // Subsumed by the restored stable checkpoint (still dedup'd above).
-    }
-    store_.Add(block);
+  for (const BlockPtr& block : block_log_->Replay(last_committed_height_, store_)) {
     if (block->view > head_->view ||
         (block->view == head_->view && block->height > head_->height)) {
       head_ = block;
     }
   }
-}
-
-void RaftReplica::OnStableCheckpoint(const checkpoint::CheckpointCert& cert) {
-  ReplicaBase::OnStableCheckpoint(cert);  // Block-store compaction with catch-up slack.
-  // Drop the WAL prefix the snapshot subsumes. Records are scanned in append order and the
-  // scan stops at the first record above the boundary: entries logged out of height order
-  // across term changes under-truncate (safe) rather than over-truncate.
-  storage::WriteAheadLog& wal = Wal(kLogWal);
-  size_t drop = 0;
-  for (const Bytes& record : wal.records()) {
-    const BlockPtr block = DecodeBlockRecord(ByteView(record.data(), record.size()));
-    if (block != nullptr && block->height > cert.height) {
-      break;
-    }
-    ++drop;
-  }
-  wal.TruncateFront(drop);
 }
 
 void RaftReplica::OnCheckpointAdopted(const BlockPtr& block) {
@@ -86,14 +59,6 @@ void RaftReplica::PersistMeta() {
   w.U64(term_);
   w.U64(voted_in_term_);
   HostRecords().Put(kMetaKey, ByteView(w.bytes().data(), w.bytes().size()));
-}
-
-void RaftReplica::AppendToLog(const BlockPtr& block) {
-  if (!logged_.insert(block->hash).second) {
-    return;  // Already durable (heartbeat re-delivery); no second fsync.
-  }
-  const Bytes record = EncodeBlockRecord(*block);
-  Wal(kLogWal).Append(ByteView(record.data(), record.size()), storage::SyncMode::kSync);
 }
 
 void RaftReplica::OnStart() {
@@ -208,7 +173,7 @@ void RaftReplica::TryPropose() {
   head_ = block;
   store_.Add(block);
   MarkProposed(block);
-  AppendToLog(block);  // Leader persists before replicating.
+  block_log_->Append(*block, storage::SyncMode::kSync);  // Leader persists before replicating.
   proposal_outstanding_ = true;
   Pending& pending = pending_[block->hash];
   pending.block = block;
@@ -249,7 +214,8 @@ void RaftReplica::OnAppend(NodeId from, const std::shared_ptr<const RaftAppendMs
       if (msg->block->parent == head_->hash || msg->block->height > head_->height) {
         head_ = msg->block;
       }
-      AppendToLog(msg->block);  // Durable append before the ack.
+      // Durable append before the ack; a heartbeat re-delivery skips the second fsync.
+      block_log_->Append(*msg->block, storage::SyncMode::kSync);
       auto ack = std::make_shared<RaftAckMsg>();
       ack->term = term_;
       ack->hash = msg->block->hash;
@@ -322,7 +288,5 @@ void RaftReplica::OnVoteRsp(NodeId from, const RaftVoteRspMsg& msg) {
     BecomeLeader();
   }
 }
-
-void RaftReplica::OnBlocksSynced() {}
 
 }  // namespace achilles

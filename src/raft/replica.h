@@ -13,7 +13,6 @@
 
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/consensus/replica_base.h"
 #include "src/sim/process.h"
@@ -72,9 +71,6 @@ class RaftReplica : public ReplicaBase {
 
  protected:
   void HandleMessage(NodeId from, const MessageRef& msg) override;
-  void OnBlocksSynced() override;
-  // Log compaction: drops the WAL prefix a stable checkpoint subsumes (charged as fsync).
-  void OnStableCheckpoint(const checkpoint::CheckpointCert& cert) override;
   // Snapshot transfer fix-up: the log-head pointer advances past the adopted boundary.
   void OnCheckpointAdopted(const BlockPtr& block) override;
 
@@ -93,8 +89,6 @@ class RaftReplica : public ReplicaBase {
   // Syncs (term, votedFor) to the host record store: must precede any message that makes
   // the vote or term adoption observable.
   void PersistMeta();
-  // Appends `block` to the durable log with an fsync, once per block per incarnation.
-  void AppendToLog(const BlockPtr& block);
   void RestoreDurableState();
 
   bool initial_launch_;
@@ -110,9 +104,6 @@ class RaftReplica : public ReplicaBase {
     std::set<NodeId> acks;
   };
   std::unordered_map<Hash256, Pending, Hash256Hasher> pending_;
-  // Blocks already in the durable log (rebuilt from the WAL on reboot); re-deliveries via
-  // heartbeat retransmission skip the duplicate append + fsync.
-  std::unordered_set<Hash256, Hash256Hasher> logged_;
   // Distinct grantors this candidacy, self included. A set, not a counter: the network may
   // duplicate a vote response, and double-counting one grantor elects a leader without a
   // real majority (a fork the chaos swarm found under duplication jitter).

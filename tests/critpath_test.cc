@@ -11,6 +11,7 @@
 #include "src/obs/breakdown.h"
 #include "src/obs/critpath.h"
 #include "src/obs/json.h"
+#include "tools/json_reader.h"
 
 namespace achilles {
 namespace {

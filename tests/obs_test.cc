@@ -10,6 +10,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 #include "src/obs/trace.h"
+#include "tools/json_reader.h"
 
 namespace achilles {
 namespace {

@@ -1,5 +1,5 @@
 // Robustness edges: fuzzed deserialization, NIC egress queueing, block-store pruning,
-// pacemaker behaviour under pathological timeouts, and bounded mempool state.
+// pacemaker behaviour under pathological timeouts, and bounded mempool and block-log state.
 #include <gtest/gtest.h>
 
 #include "src/achilles/replica.h"
@@ -268,6 +268,41 @@ TEST(RetainedStateSoakTest, RebootedReplicaMempoolStateStaysBounded) {
   for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
     EXPECT_LE(ids_late[i], ids_early[i] + 2.0 * TxIdSet::kWindowWords + floor_slack)
         << "replica " << i;
+  }
+}
+
+// The durable block logs' dedup sets must plateau once stable checkpoints compact the
+// logs: a hash leaves the set together with its record. Without that, MinBFT's and Raft's
+// sets grew by one hash per block for the whole run.
+TEST(RetainedStateSoakTest, BlockLogDedupSetStaysBounded) {
+  for (const Protocol protocol : {Protocol::kMinBft, Protocol::kRaft}) {
+    SCOPED_TRACE(ProtocolName(protocol));
+    ClusterConfig config = SaturatedConfig(protocol);
+    config.ckpt.enabled = true;
+    config.ckpt.interval = 8;  // MinBFT's two counter writes per block make it slow.
+    Cluster cluster(config);
+    cluster.Start();
+    auto logged = [&cluster] {
+      std::vector<size_t> sizes;
+      for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
+        sizes.push_back(cluster.replica(i)->block_log()->logged());
+      }
+      return sizes;
+    };
+    cluster.sim().RunFor(Sec(2));
+    const Height height_early = cluster.tracker().max_committed_height();
+    const std::vector<size_t> logged_early = logged();
+    cluster.sim().RunFor(Sec(6));
+    const std::vector<size_t> logged_late = logged();
+
+    // Many checkpoint intervals commit in between, so linear growth cannot hide in the
+    // slack below: between two compactions a log holds about one interval of blocks.
+    const Height interval = config.ckpt.interval;
+    EXPECT_GT(cluster.tracker().max_committed_height(), height_early + 10 * interval);
+    for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
+      EXPECT_GT(logged_early[i], 0u) << "replica " << i;
+      EXPECT_LE(logged_late[i], logged_early[i] + 2 * interval) << "replica " << i;
+    }
   }
 }
 

@@ -1,12 +1,15 @@
 // Tests for the host stable-storage subsystem (src/storage): WAL + record-store crash
-// semantics, the persist::Store record surfaces, the per-surface StorageFate
-// reboot encoding, and full reboot-recovery through the cluster for every protocol.
+// semantics, the block log on top of a WAL, the persist::Store record surfaces, the
+// per-surface StorageFate reboot encoding, and full reboot-recovery through the cluster
+// for every protocol.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/chaos/runner.h"
+#include "src/consensus/block_log.h"
 #include "src/harness/cluster.h"
 #include "src/harness/fault_script.h"
 #include "src/storage/host_storage.h"
@@ -209,6 +212,109 @@ TEST(RecordStoreTest, TornTailRevertsOnlyTheLastUnsyncedPut) {
   f.disk.ApplyCrashFate(storage::WalFate::kTornTail);
   EXPECT_EQ(records.Get("a").value(), (Bytes{'n', 'e', 'w'}));
   EXPECT_FALSE(records.Get("b").has_value());
+}
+
+// --- BlockLog (the durable block log of FlexiBFT, MinBFT and Raft) ---
+
+// A chain of `length` blocks above genesis, all proposed in `view`.
+std::vector<BlockPtr> Chain(size_t length, achilles::View view,
+                            const BlockPtr& from = Block::Genesis()) {
+  std::vector<BlockPtr> chain;
+  BlockPtr parent = from;
+  for (size_t i = 0; i < length; ++i) {
+    parent = Block::Create(view, parent, {}, /*propose_time=*/0);
+    chain.push_back(parent);
+  }
+  return chain;
+}
+
+std::vector<Height> Heights(const std::vector<BlockPtr>& blocks) {
+  std::vector<Height> heights;
+  for (const BlockPtr& block : blocks) {
+    heights.push_back(block->height);
+  }
+  return heights;
+}
+
+TEST(BlockLogTest, TornRecordStopsTheReplay) {
+  DiskFixture f;
+  storage::WriteAheadLog& wal = f.disk.Wal("log");
+  BlockLog log(&wal);
+  const std::vector<BlockPtr> chain = Chain(3, 1);
+  log.Append(*chain[0], storage::SyncMode::kAsync);
+  log.Append(*chain[1], storage::SyncMode::kAsync);
+  wal.Append(View("torn"), storage::SyncMode::kAsync);
+  log.Append(*chain[2], storage::SyncMode::kAsync);  // Never durable behind the tear.
+
+  BlockLog rebooted(&wal);
+  BlockStore store;
+  EXPECT_EQ(Heights(rebooted.Replay(/*floor=*/0, store)), (std::vector<Height>{1, 2}));
+  EXPECT_FALSE(store.Has(chain[2]->hash));
+  EXPECT_EQ(rebooted.logged(), 2u);
+}
+
+TEST(BlockLogTest, ReproposedBlockIsAppendedOnce) {
+  DiskFixture f;
+  storage::WriteAheadLog& wal = f.disk.Wal("log");
+  BlockLog log(&wal);
+  const std::vector<BlockPtr> chain = Chain(1, 1);
+  EXPECT_TRUE(log.Append(*chain[0], storage::SyncMode::kAsync));
+  EXPECT_FALSE(log.Append(*chain[0], storage::SyncMode::kSync));  // Re-proposed next epoch.
+  EXPECT_EQ(wal.NumRecords(), 1u);
+  EXPECT_EQ(f.disk.fsyncs(), 0u);  // The skipped append runs no barrier either.
+}
+
+TEST(BlockLogTest, CompactionUnderTruncatesOutOfOrderAppendsAndForgetsWhatItDrops) {
+  DiskFixture f;
+  storage::WriteAheadLog& wal = f.disk.Wal("log");
+  BlockLog log(&wal);
+  // Epoch 1 logs heights 1..5; epoch 2's leader resumes from height 2 and logs 3' and 4'
+  // behind them.
+  const std::vector<BlockPtr> first = Chain(5, 1);
+  const std::vector<BlockPtr> second = Chain(2, 2, first[1]);
+  for (const BlockPtr& block : first) {
+    log.Append(*block, storage::SyncMode::kAsync);
+  }
+  for (const BlockPtr& block : second) {
+    log.Append(*block, storage::SyncMode::kAsync);
+  }
+  ASSERT_EQ(log.logged(), 7u);
+
+  log.CompactThrough(3);
+  // The scan stops at height 4: heights 4, 5, 3' and 4' stay, 3' under the checkpoint.
+  EXPECT_EQ(wal.NumRecords(), 4u);
+  EXPECT_EQ(log.logged(), 4u);
+  BlockLog rebooted(&wal);
+  BlockStore store;
+  EXPECT_EQ(Heights(rebooted.Replay(/*floor=*/0, store)), (std::vector<Height>{4, 5, 3, 4}));
+
+  log.CompactThrough(5);  // Now every record is at or below the checkpoint.
+  EXPECT_EQ(wal.NumRecords(), 0u);
+  EXPECT_EQ(log.logged(), 0u);
+  // A dropped block delivered again is still not re-logged: the checkpoint covers it.
+  EXPECT_FALSE(log.Append(*first[2], storage::SyncMode::kSync));
+  EXPECT_EQ(wal.NumRecords(), 0u);
+}
+
+TEST(BlockLogTest, RecordsAtOrBelowTheRestoredCheckpointAreDedupedNotStored) {
+  DiskFixture f;
+  storage::WriteAheadLog& wal = f.disk.Wal("log");
+  const std::vector<BlockPtr> chain = Chain(4, 1);
+  {
+    BlockLog log(&wal);
+    for (const BlockPtr& block : chain) {
+      log.Append(*block, storage::SyncMode::kSync);
+    }
+  }
+  BlockLog rebooted(&wal);
+  BlockStore store;
+  EXPECT_EQ(Heights(rebooted.Replay(/*floor=*/2, store)), (std::vector<Height>{3, 4}));
+  EXPECT_FALSE(store.Has(chain[0]->hash));
+  EXPECT_FALSE(store.Has(chain[1]->hash));
+  EXPECT_TRUE(store.Has(chain[3]->hash));
+  EXPECT_EQ(rebooted.logged(), 4u);
+  EXPECT_FALSE(rebooted.Append(*chain[0], storage::SyncMode::kSync));
+  EXPECT_EQ(wal.NumRecords(), 4u);
 }
 
 // --- persist::Store surfaces: host records vs sealed blobs ---

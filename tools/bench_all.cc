@@ -42,6 +42,7 @@
 #include "src/harness/flags.h"
 #include "src/obs/json.h"
 #include "src/tee/cost_model.h"
+#include "tools/json_reader.h"
 
 namespace achilles {
 namespace {

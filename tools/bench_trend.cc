@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "src/harness/flags.h"
-#include "src/obs/json.h"
+#include "tools/json_reader.h"
 
 namespace achilles {
 namespace {
