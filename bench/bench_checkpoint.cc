@@ -4,7 +4,7 @@
 //      per protocol. The tax is the vote/assemble crypto plus the truncation fsyncs.
 //   2. Retention footprint — max per-replica log bytes over time. Without compaction the
 //      WAL + block store grow linearly with committed height; with stable checkpoints the
-//      retained suffix stays bounded near interval * catchup_intervals heights.
+//      retained suffix stays bounded near interval * kCatchupIntervals heights.
 //   3. Rejoin latency — a replica crashes, the cluster runs ahead, it reboots: time until
 //      its committed prefix reaches the frontier it missed, via full block backfill
 //      (checkpointing off) vs snapshot state transfer (on).
@@ -111,7 +111,7 @@ void BenchFootprint() {
   std::printf(
       "\nWithout compaction the retained bytes grow linearly with committed height; with\n"
       "stable checkpoints every 16 heights they plateau at the retained suffix (the floor\n"
-      "slack is interval * catchup_intervals = 32 heights of blocks).\n\n");
+      "slack is interval * kCatchupIntervals = 32 heights of blocks).\n\n");
   std::fprintf(stderr, "  footprint done\n");
 }
 

@@ -83,7 +83,6 @@ void AchillesChecker::RecordStateUpdate() {
     version_ = enclave_->defense().Persist(kSealSlot,
                                            ByteView(w.bytes().data(), w.bytes().size()));
   }
-  ++state_updates_;
 }
 
 SignedCert AchillesChecker::MakeCert(const char* domain, const Hash256& hash, View view,

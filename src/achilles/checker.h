@@ -96,10 +96,6 @@ class AchillesChecker {
   std::optional<SignedCert> TeeRecover(const SignedCert& leader_reply,
                                        const std::vector<SignedCert>& replies);
 
-  // Statistics: how many trusted invocations mutated state (≈ where a persistent counter
-  // write would sit in a counter-based design).
-  uint64_t state_updates() const { return state_updates_; }
-
  private:
   SignedCert MakeCert(const char* domain, const Hash256& hash, View view, uint64_t aux = 0,
                       uint64_t aux2 = 0);
@@ -121,7 +117,6 @@ class AchillesChecker {
   uint64_t expected_nonce_ = 0;
   bool nonce_armed_ = false;
   bool break_nonce_check_ = false;  // Broken variant (oracle self-test); see constructor.
-  uint64_t state_updates_ = 0;
   uint64_t version_ = 0;  // Defense-backend version (0 under --defense local).
 };
 

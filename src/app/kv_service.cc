@@ -8,14 +8,18 @@
 namespace achilles {
 namespace app {
 
+namespace {
+constexpr SimDuration kLeaseDuration = Ms(400);  // L: promise lifetime.
+constexpr uint32_t kStableStreak = 3;  // K: self-led blocks applied before serving.
+}  // namespace
+
 KvService::KvService(std::vector<Host*> replica_hosts, Network* net, CommitTracker* tracker,
-                     uint32_t kv_client_host, const KvAppOptions& opts,
-                     BrokenVariant broken, obs::MetricsRegistry* metrics)
+                     uint32_t kv_client_host, BrokenVariant broken,
+                     obs::MetricsRegistry* metrics)
     : hosts_(std::move(replica_hosts)),
       net_(net),
       tracker_(tracker),
       kv_client_host_(kv_client_host),
-      opts_(opts),
       broken_(broken),
       per_replica_(hosts_.size()) {
   ACHILLES_CHECK(!hosts_.empty());
@@ -108,7 +112,7 @@ void KvService::OnBlockApplied(NodeId replica, const BlockPtr& block, SimTime no
   }
 
   // Renewal: a stable leader keeps every peer's promise at least ~L/4 ahead of expiry.
-  if (self_led && pr.streak >= opts_.stable_streak) {
+  if (self_led && pr.streak >= kStableStreak) {
     SimTime min_expiry = std::numeric_limits<SimTime>::max();
     for (NodeId j = 0; j < n(); ++j) {
       if (j == replica) {
@@ -118,7 +122,7 @@ void KvService::OnBlockApplied(NodeId replica, const BlockPtr& block, SimTime no
       const SimTime expiry = it == pr.ack_expiry.end() ? 0 : it->second;
       min_expiry = std::min(min_expiry, expiry);
     }
-    if (min_expiry < now + (3 * opts_.lease_duration) / 4) {
+    if (min_expiry < now + (3 * kLeaseDuration) / 4) {
       auto renew = std::make_shared<KvLeaseRenewMsg>();
       renew->holder = replica;
       for (NodeId j = 0; j < n(); ++j) {
@@ -153,7 +157,7 @@ void KvService::OnBlockApplied(NodeId replica, const BlockPtr& block, SimTime no
 }
 
 bool KvService::CanServe(const PerReplica& pr, SimTime now) const {
-  if (pr.streak < opts_.stable_streak) {
+  if (pr.streak < kStableStreak) {
     return false;
   }
   for (NodeId j = 0; j < n(); ++j) {
@@ -253,7 +257,7 @@ void KvService::HandleLeaseRenew(NodeId replica, const KvLeaseRenewMsg& msg) {
     return;
   }
   pr.promise_to = holder;
-  pr.promise_until = now + opts_.lease_duration;
+  pr.promise_until = now + kLeaseDuration;
   // Granting is incompatible with serving: someone else is the stable leader now.
   RevokeLease(replica, pr, /*journal=*/true);
   host->JournalEvent(obs::JournalKind::kLeaseGrant, holder,
@@ -314,7 +318,7 @@ void KvService::OnReplicaCrash(NodeId replica) {
 void KvService::OnReplicaReboot(NodeId replica, SimTime bind_time) {
   // The crashed incarnation may have promised a lease that the crash forgot. Stay silent
   // toward clients for a full lease duration — an upper bound on any pre-crash promise.
-  per_replica_[replica].boot_silence_until = bind_time + opts_.lease_duration;
+  per_replica_[replica].boot_silence_until = bind_time + kLeaseDuration;
 }
 
 }  // namespace app

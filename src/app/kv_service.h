@@ -8,9 +8,9 @@
 // replica id.
 //
 // Read-lease protocol (quorum-promise leases with client-response withholding):
-//  - A replica that has applied `stable_streak` consecutive self-proposed blocks asks every
+//  - A replica that has applied kStableStreak consecutive self-proposed blocks asks every
 //    peer for a lease promise (KvLeaseRenewMsg). A grantor with no conflicting live promise
-//    answers with an absolute expiry = its local now + lease_duration (KvLeaseAckMsg) and
+//    answers with an absolute expiry = its local now + kLeaseDuration (KvLeaseAckMsg) and
 //    promises: until that expiry it will NOT release client completions (KvAppliedMsg) for
 //    blocks proposed by anyone other than the holder. Withholding — not refusing to vote —
 //    keeps the consensus layer untouched; writes still commit, clients just learn of them
@@ -22,7 +22,7 @@
 //    reset (journaled as kLeaseRevoke).
 //  - Crash wipes a grantor's promise (it is volatile). The reboot path compensates with
 //    boot silence: a rebooted replica delays all KvAppliedMsg releases until
-//    bind_time + lease_duration, an upper bound on any promise it could have made before
+//    bind_time + kLeaseDuration, an upper bound on any promise it could have made before
 //    crashing (promise_until <= crash_time + L <= bind_time + L).
 //  - The client-side completion rule (first applied-reply from the block's proposer, or
 //    f+1 distinct replicas — src/client/kv_client.h) means a write is client-visible only
@@ -96,17 +96,10 @@ struct KvLeaseAckMsg : SimMessage {
   size_t WireSize() const override { return 20; }
 };
 
-struct KvAppOptions {
-  SimDuration lease_duration = Ms(400);  // L: promise lifetime.
-  uint32_t stable_streak = 3;            // K: self-led blocks applied before serving.
-  uint32_t payload_size = 64;            // Bytes per KV transaction payload.
-};
-
 class KvService : public AppMessageSink {
  public:
   KvService(std::vector<Host*> replica_hosts, Network* net, CommitTracker* tracker,
-            uint32_t kv_client_host, const KvAppOptions& opts, BrokenVariant broken,
-            obs::MetricsRegistry* metrics);
+            uint32_t kv_client_host, BrokenVariant broken, obs::MetricsRegistry* metrics);
 
   // Wire this into the tracker with AddCommitListener. Runs inside the committing
   // replica's handler context.
@@ -134,7 +127,6 @@ class KvService : public AppMessageSink {
   // Log compaction: drops agreed-log entries below `keep_from` (clamped so the slowest
   // mirror can still replay). Called by the Cluster when a checkpoint becomes stable.
   void PruneBelow(Height keep_from);
-  size_t agreed_log_entries() const { return by_height_.size(); }
 
   // First-commit materialized state: checker-side ground truth, zero simulated cost.
   const KvState& canonical() const { return canonical_; }
@@ -177,7 +169,6 @@ class KvService : public AppMessageSink {
   Network* net_;
   CommitTracker* tracker_;
   uint32_t kv_client_host_;
-  KvAppOptions opts_;
   BrokenVariant broken_;
 
   // Agreed log by height, first commit wins (the safety oracle separately guarantees no

@@ -283,9 +283,6 @@ ChaosResult RunChaosScript(const ChaosOptions& options, uint64_t seed, Protocol 
   // several boundaries inside even the briefest schedules.
   config.ckpt.enabled = true;
   config.ckpt.interval = 8;
-  if (options.broken == BrokenVariant::kStaleSnapshotAccept) {
-    config.ckpt.retain = 0;  // Unbounded retention: the oldest snapshot stays servable.
-  }
   Cluster cluster(config);
   const uint32_t n = cluster.num_replicas();
   ACHILLES_CHECK(script.byzantine.size() == n);

@@ -31,13 +31,16 @@ inline constexpr const char* kSnapshotKey = "ckpt/snapshot";
 // Sealed-store (or host record-store, outside a TEE) key of the certificate alone.
 inline constexpr const char* kCertKey = "ckpt/cert";
 
+// Snapshot-transfer (not backfill) when at least this many intervals behind the announced
+// stable frontier. Block stores and the KV agreed log keep the same slack behind a stable
+// checkpoint, so a peer closer than that still backfills block by block.
+inline constexpr Height kCatchupIntervals = 2;
+
 struct CheckpointOptions {
   bool enabled = false;
-  Height interval = 64;          // C: a checkpoint boundary every C committed heights.
-  uint32_t catchup_intervals = 2;// Snapshot-transfer (not backfill) when >= this many
-                                 // intervals behind the announced stable frontier.
-  uint32_t retain = 4;           // Boundary snapshots kept servable for laggards
-                                 // (0 = unbounded; only the broken self-test uses that).
+  Height interval = 64;  // C: a checkpoint boundary every C committed heights.
+
+  Height CatchupSlack() const { return interval * kCatchupIntervals; }
 };
 
 // The digest every correct replica derives at boundary H: H(height, block hash,

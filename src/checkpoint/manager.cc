@@ -8,6 +8,10 @@
 namespace achilles {
 namespace checkpoint {
 
+namespace {
+constexpr size_t kRetainedSnapshots = 4;  // Boundary snapshots kept servable for laggards.
+}  // namespace
+
 const char* SnapshotFateName(SnapshotFate fate) {
   switch (fate) {
     case SnapshotFate::kIntact:
@@ -68,7 +72,10 @@ void CheckpointManager::SetStableGauge(NodeId replica, Height height) {
 }
 
 void CheckpointManager::PruneRetained() {
-  while (opts_.retain > 0 && retained_.size() > opts_.retain) {
+  if (broken_ == BrokenVariant::kStaleSnapshotAccept) {
+    return;  // Unbounded retention: the oldest snapshot stays servable.
+  }
+  while (retained_.size() > kRetainedSnapshots) {
     retained_.erase(retained_.begin());
   }
 }
@@ -187,8 +194,7 @@ void CheckpointManager::TryAssemble(NodeId replica, Height height, SimTime now) 
   }
   if (kv_ != nullptr) {
     // Compact the shared agreed log with the same slack the block stores keep.
-    const Height slack =
-        opts_.interval * std::max<Height>(1, opts_.catchup_intervals);
+    const Height slack = opts_.CatchupSlack();
     if (height > slack) {
       kv_->PruneBelow(height - slack);
     }
@@ -253,8 +259,8 @@ void CheckpointManager::HandleAnnounce(NodeId replica, uint32_t from_host,
   }
   PerReplica& pr = per_replica_[replica];
   const Height committed = rep->last_committed_height();
-  const Height lag = static_cast<Height>(opts_.catchup_intervals) * opts_.interval;
-  if (ann.cert.height < committed + lag || ann.cert.height <= pr.last_fetch_req) {
+  if (ann.cert.height < committed + opts_.CatchupSlack() ||
+      ann.cert.height <= pr.last_fetch_req) {
     return;  // Close enough to backfill blocks, or a fetch is already outstanding.
   }
   pr.last_fetch_req = ann.cert.height;
@@ -300,7 +306,6 @@ void CheckpointManager::HandleFetchRequest(NodeId replica, uint32_t from_host,
   if (serve == nullptr) {
     return;
   }
-  ++snapshot_serves_;
   if (serves_total_ != nullptr) {
     serves_total_->Inc();
   }

@@ -16,7 +16,7 @@
 //     payload host-durable, certificate TEE-sealed; WAL + block-store truncation follows),
 //     and broadcasts a CkptAnnounceMsg.
 //  3. State transfer. A replica that receives an announce for a checkpoint at least
-//     `catchup_intervals` intervals ahead of its own committed prefix requests the snapshot
+//     kCatchupIntervals intervals ahead of its own committed prefix requests the snapshot
 //     instead of backfilling blocks one by one. The responder ships {cert, boundary block,
 //     KV state}; the requester verifies the quorum certificate, the digest, and its own
 //     rollback floor before installing (AdoptStateTransfer + mirror install + persist).
@@ -138,7 +138,6 @@ class CheckpointManager : public AppMessageSink {
   Height latest_stable() const;
   uint64_t checkpoints_assembled() const { return checkpoints_assembled_; }
   uint64_t votes_cast() const { return votes_cast_; }
-  uint64_t snapshot_serves() const { return snapshot_serves_; }
   uint64_t snapshot_adopts() const { return snapshot_adopts_; }
   const CheckpointOptions& options() const { return opts_; }
 
@@ -215,7 +214,6 @@ class CheckpointManager : public AppMessageSink {
 
   uint64_t checkpoints_assembled_ = 0;
   uint64_t votes_cast_ = 0;
-  uint64_t snapshot_serves_ = 0;
   uint64_t snapshot_adopts_ = 0;
   obs::Counter* stable_total_ = nullptr;
   obs::Counter* votes_total_ = nullptr;

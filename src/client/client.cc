@@ -2,6 +2,10 @@
 
 namespace achilles {
 
+namespace {
+constexpr SimDuration kTick = Ms(1);  // Pacing granularity.
+}  // namespace
+
 ClientProcess::ClientProcess(Host* host, Network* net, CommitTracker* tracker,
                              const ClientConfig& config)
     : host_(host), net_(net), tracker_(tracker), config_(config) {}
@@ -11,8 +15,7 @@ void ClientProcess::OnStart() { Tick(); }
 void ClientProcess::Tick() {
   if (config_.rate_tps > 0.0) {
     // Open loop: accumulate fractional transactions per tick.
-    rate_carry_ +=
-        config_.rate_tps * (static_cast<double>(config_.tick) / kSecond);
+    rate_carry_ += config_.rate_tps * (static_cast<double>(kTick) / kSecond);
     const size_t due = static_cast<size_t>(rate_carry_);
     rate_carry_ -= static_cast<double>(due);
     size_t remaining = due;
@@ -34,7 +37,7 @@ void ClientProcess::Tick() {
       }
     }
   }
-  host_->SetTimer(config_.tick, [this] { Tick(); });
+  host_->SetTimer(kTick, [this] { Tick(); });
 }
 
 void ClientProcess::SubmitChunk(size_t count) {

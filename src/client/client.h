@@ -18,7 +18,6 @@ struct ClientConfig {
   double rate_tps = 0.0;            // 0 = saturating mode.
   size_t chunk = 200;               // Transactions per submit message.
   size_t max_outstanding = 4000;    // Saturating mode: cap on uncommitted submissions.
-  SimDuration tick = Ms(1);         // Pacing granularity.
   uint32_t num_replicas = 3;        // Submissions go to every replica...
   uint32_t first_replica_host = 0;  // ...starting at this host id (instances may offset).
 };

@@ -7,11 +7,22 @@ namespace achilles {
 using app::KvOpKind;
 using app::KvOpRecord;
 
-KvClientProcess::KvClientProcess(Host* host, Network* net, const KvClientConfig& config,
-                                 obs::MetricsRegistry* metrics)
+namespace {
+constexpr uint32_t kKeySpace = 8;  // Keys drawn uniformly from [0, kKeySpace).
+constexpr double kReadRatio = 0.7;
+constexpr SimDuration kThink = Ms(2);  // Pause between an op's response and the next.
+constexpr SimDuration kLeaseReadTimeout = Ms(30);
+constexpr uint32_t kLeaseReadAttempts = 2;  // Fast-path tries before the ordered fallback.
+constexpr SimDuration kResubmitInterval = Ms(500);  // Outstanding-tx retransmission period.
+constexpr uint32_t kPayloadSize = 64;  // Bytes per KV transaction payload.
+}  // namespace
+
+KvClientProcess::KvClientProcess(Host* host, Network* net, uint32_t num_replicas, uint32_t f,
+                                 const KvClientConfig& config, obs::MetricsRegistry* metrics)
     : host_(host),
       net_(net),
-      config_(config),
+      num_replicas_(num_replicas),
+      f_(f),
       rng_(host->sim().rng().Fork()),
       sessions_(config.num_sessions) {
   if (metrics != nullptr) {
@@ -24,18 +35,18 @@ KvClientProcess::KvClientProcess(Host* host, Network* net, const KvClientConfig&
 }
 
 void KvClientProcess::OnStart() {
-  for (uint32_t s = 0; s < config_.num_sessions; ++s) {
+  for (uint32_t s = 0; s < sessions_.size(); ++s) {
     StartNextOp(s);
   }
-  host_->SetTimer(config_.resubmit_interval, [this] { ResubmitOutstanding(); });
+  host_->SetTimer(kResubmitInterval, [this] { ResubmitOutstanding(); });
 }
 
 void KvClientProcess::StartNextOp(uint32_t session) {
   KvOpRecord op;
   op.op_id = Transaction::MakeId(host_->id(), next_seq_++);
   op.client = session;
-  op.key = static_cast<uint32_t>(rng_.UniformU64(config_.key_space));
-  op.kind = rng_.Chance(config_.read_ratio) ? KvOpKind::kGet : KvOpKind::kPut;
+  op.key = static_cast<uint32_t>(rng_.UniformU64(kKeySpace));
+  op.kind = rng_.Chance(kReadRatio) ? KvOpKind::kGet : KvOpKind::kPut;
   op.invoke = host_->LocalNow();
   const size_t idx = history_.ops.size();
   history_.ops.push_back(op);
@@ -58,9 +69,9 @@ void KvClientProcess::SendLeaseRead(uint64_t op_id) {
   auto req = std::make_shared<app::KvReadRequestMsg>();
   req->op_id = op_id;
   req->key = history_.ops[it->second.op_idx].key;
-  net_->Send(host_->id(), config_.first_replica_host + read_target_, req);
+  net_->Send(host_->id(), read_target_, req);
   // Timeout guard: only fires if this exact attempt is still outstanding.
-  host_->SetTimer(config_.lease_read_timeout, [this, op_id, attempt] {
+  host_->SetTimer(kLeaseReadTimeout, [this, op_id, attempt] {
     auto lit = pending_lease_.find(op_id);
     if (lit != pending_lease_.end() && lit->second.attempt == attempt) {
       OnLeaseReadFailure(op_id);
@@ -73,9 +84,9 @@ void KvClientProcess::OnLeaseReadFailure(uint64_t op_id) {
   if (it == pending_lease_.end()) {
     return;
   }
-  read_target_ = (read_target_ + 1) % config_.num_replicas;
+  read_target_ = (read_target_ + 1) % num_replicas_;
   ++it->second.attempt;
-  if (it->second.attempt < config_.lease_read_attempts) {
+  if (it->second.attempt < kLeaseReadAttempts) {
     SendLeaseRead(op_id);
     return;
   }
@@ -93,11 +104,11 @@ void KvClientProcess::SubmitOrdered(size_t op_idx) {
   const KvOpRecord& op = history_.ops[op_idx];
   outstanding_txs_[op.op_id] = op_idx;
   auto msg = std::make_shared<ClientSubmitMsg>();
-  msg->txs.push_back(Transaction{op.op_id, host_->LocalNow(), config_.payload_size,
+  msg->txs.push_back(Transaction{op.op_id, host_->LocalNow(), kPayloadSize,
                                  app::EncodeKvOp(op.kind, op.key)});
   msg->MemoizeWireSize();
-  for (uint32_t r = 0; r < config_.num_replicas; ++r) {
-    net_->Send(host_->id(), config_.first_replica_host + r, msg);
+  for (uint32_t r = 0; r < num_replicas_; ++r) {
+    net_->Send(host_->id(), r, msg);
   }
 }
 
@@ -115,14 +126,14 @@ void KvClientProcess::ResubmitOutstanding() {
     for (uint64_t id : ids) {
       const KvOpRecord& op = history_.ops[outstanding_txs_[id]];
       msg->txs.push_back(
-          Transaction{id, now, config_.payload_size, app::EncodeKvOp(op.kind, op.key)});
+          Transaction{id, now, kPayloadSize, app::EncodeKvOp(op.kind, op.key)});
     }
     msg->MemoizeWireSize();
-    for (uint32_t r = 0; r < config_.num_replicas; ++r) {
-      net_->Send(host_->id(), config_.first_replica_host + r, msg);
+    for (uint32_t r = 0; r < num_replicas_; ++r) {
+      net_->Send(host_->id(), r, msg);
     }
   }
-  host_->SetTimer(config_.resubmit_interval, [this] { ResubmitOutstanding(); });
+  host_->SetTimer(kResubmitInterval, [this] { ResubmitOutstanding(); });
 }
 
 void KvClientProcess::OnMessage(uint32_t /*from*/, const MessageRef& msg) {
@@ -167,7 +178,7 @@ void KvClientProcess::OnApplied(const app::KvAppliedMsg& msg) {
   bp.proposer = msg.proposer;
   bp.senders.insert(msg.replica);
   bp.proposer_seen |= msg.replica == msg.proposer;
-  if (bp.proposer_seen || bp.senders.size() >= static_cast<size_t>(config_.f) + 1) {
+  if (bp.proposer_seen || bp.senders.size() >= static_cast<size_t>(f_) + 1) {
     confirmed_.emplace(msg.block->height, bp);
     progress_.erase(msg.block->hash);
     ApplyConfirmedBlocks();
@@ -228,7 +239,7 @@ void KvClientProcess::CompleteOp(size_t op_idx, SimTime now) {
   for (uint32_t s = 0; s < sessions_.size(); ++s) {
     if (sessions_[s].active_op == op_idx) {
       sessions_[s].active_op = SIZE_MAX;
-      host_->SetTimer(config_.think, [this, s] { StartNextOp(s); });
+      host_->SetTimer(kThink, [this, s] { StartNextOp(s); });
       return;
     }
   }

@@ -5,7 +5,7 @@
 //
 // Reads try the lease fast path first: a KvReadRequestMsg to a sticky read target (the last
 // replica that served this client successfully). A decline or timeout rotates the target;
-// after `lease_read_attempts` failures the read falls back to an ordered GET through the
+// after kLeaseReadAttempts failures the read falls back to an ordered GET through the
 // log. Stickiness matters for the oracle self-test: it keeps reads flowing to a deposed
 // leaseholder, which is exactly where a broken lease serves stale state.
 //
@@ -31,23 +31,15 @@
 namespace achilles {
 
 struct KvClientConfig {
-  uint32_t num_replicas = 3;
-  uint32_t first_replica_host = 0;
-  uint32_t f = 1;                          // Completion quorum is f+1 (or the proposer).
-  uint32_t num_sessions = 4;               // Concurrent closed-loop sessions.
-  uint32_t key_space = 8;                  // Keys drawn uniformly from [0, key_space).
-  double read_ratio = 0.7;
-  SimDuration think = Ms(2);               // Pause between an op's response and the next.
-  SimDuration lease_read_timeout = Ms(30);
-  uint32_t lease_read_attempts = 2;        // Fast-path tries before the ordered fallback.
-  SimDuration resubmit_interval = Ms(500); // Outstanding-tx retransmission period.
-  uint32_t payload_size = 64;
+  uint32_t num_sessions = 4;  // Concurrent closed-loop sessions.
 };
 
 class KvClientProcess : public IProcess {
  public:
-  KvClientProcess(Host* host, Network* net, const KvClientConfig& config,
-                  obs::MetricsRegistry* metrics);
+  // The replicas are hosts 0 .. num_replicas - 1; an operation completes once its block is
+  // confirmed by the proposer or by f + 1 of them.
+  KvClientProcess(Host* host, Network* net, uint32_t num_replicas, uint32_t f,
+                  const KvClientConfig& config, obs::MetricsRegistry* metrics);
 
   void OnStart() override;
   void OnMessage(uint32_t from, const MessageRef& msg) override;
@@ -86,7 +78,8 @@ class KvClientProcess : public IProcess {
 
   Host* host_;
   Network* net_;
-  KvClientConfig config_;
+  uint32_t num_replicas_;
+  uint32_t f_;
   Rng rng_;
 
   app::KvHistory history_;

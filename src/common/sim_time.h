@@ -22,7 +22,6 @@ constexpr SimDuration Sec(int64_t n) { return n * kSecond; }
 
 constexpr double ToMs(SimDuration d) { return static_cast<double>(d) / kMillisecond; }
 constexpr double ToUs(SimDuration d) { return static_cast<double>(d) / kMicrosecond; }
-constexpr double ToSec(SimDuration d) { return static_cast<double>(d) / kSecond; }
 
 // Converts a double in milliseconds/microseconds to a duration (rounds to nearest ns).
 constexpr SimDuration FromMs(double ms) { return static_cast<SimDuration>(ms * kMillisecond); }

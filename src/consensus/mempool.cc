@@ -47,22 +47,22 @@ bool TxIdSet::InsertSlow(uint64_t id) {
   if (w == nullptr) {
     if (seq < kWindowSeqs) {
       w = &OpenWindow(client, 0);
-    } else if (spill_.Contains(id - 1)) {
+    } else if (spill_.contains(id - 1)) {
       // The second in-sequence id of a client first seen past the window width, as a
       // replica that rebooted mid-run sees every client.
       w = &OpenWindow(client, seq - 1);
     } else {
-      return spill_.Insert(id);
+      return spill_.insert(id).second;
     }
   }
   if (seq < w->floor) {
-    return spill_.Insert(id);
+    return spill_.insert(id).second;
   }
   if (seq < w->watermark) {
     return false;
   }
   if (!w->Covers(seq)) {
-    const bool fresh = spill_.Insert(id);
+    const bool fresh = spill_.insert(id).second;
     w->spilled += fresh ? 1 : 0;
     return fresh;
   }
@@ -72,7 +72,7 @@ bool TxIdSet::InsertSlow(uint64_t id) {
     return false;
   }
   // An id spilled before the window reached it moves into the bitmap.
-  const bool fresh = w->spilled == 0 || !spill_.Erase(id);
+  const bool fresh = w->spilled == 0 || spill_.erase(id) == 0;
   w->spilled -= fresh ? 0 : 1;
   word |= bit;
   if (seq == w->watermark) {
@@ -85,9 +85,9 @@ TxIdSet::Window& TxIdSet::OpenWindow(uint32_t client, uint64_t floor) {
   Window& w = windows_[client];
   w.floor = floor;
   w.watermark = floor;
-  spill_.ForEach([&](uint64_t id) {
+  for (uint64_t id : spill_) {
     w.spilled += (id >> 32) == client && (id & (kSeqLimit - 1)) >= floor ? 1 : 0;
-  });
+  }
   Advance(client, w);
   return w;
 }
@@ -106,7 +106,7 @@ void TxIdSet::Advance(uint32_t client, Window& w) {
       continue;
     }
     if (w.spilled != 0 && w.watermark < kSeqLimit &&
-        spill_.Erase(Transaction::MakeId(client, static_cast<uint32_t>(w.watermark)))) {
+        spill_.erase(Transaction::MakeId(client, static_cast<uint32_t>(w.watermark))) != 0) {
       --w.spilled;
       ++w.watermark;
       continue;

@@ -6,9 +6,9 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "src/common/u64_set.h"
 #include "src/consensus/transaction.h"
 
 namespace achilles {
@@ -46,7 +46,7 @@ class TxIdSet {
     Window* w = Find(static_cast<uint32_t>(id >> 32));
     const uint64_t seq = id & (kSeqLimit - 1);
     if (w != nullptr && seq == w->watermark && seq + 1 < kSeqLimit && !w->Bit(seq + 1) &&
-        (w->spilled == 0 || !spill_.Contains(id + 1))) {
+        (w->spilled == 0 || !spill_.contains(id + 1))) {
       w->watermark = seq + 1;
       return true;
     }
@@ -57,10 +57,10 @@ class TxIdSet {
     const Window* w = Find(static_cast<uint32_t>(id >> 32));
     const uint64_t seq = id & (kSeqLimit - 1);
     if (w == nullptr || seq < w->floor) {
-      return spill_.Contains(id);
+      return spill_.contains(id);
     }
     return seq < w->watermark || (w->Covers(seq) && w->Bit(seq)) ||
-           (w->spilled != 0 && spill_.Contains(id));
+           (w->spilled != 0 && spill_.contains(id));
   }
 
   // The `count` consecutive ids first, first + 1, ... of one client: when they start at
@@ -107,7 +107,7 @@ class TxIdSet {
   void Advance(uint32_t client, Window& w);
 
   std::unordered_map<uint32_t, Window> windows_;
-  U64Set spill_;
+  std::unordered_set<uint64_t> spill_;
   mutable uint32_t cached_client_ = 0;
   mutable Window* cached_ = nullptr;
 };

@@ -5,19 +5,23 @@
 namespace achilles {
 
 void LatencyRecorder::Record(SimDuration latency) {
-  histogram_.Record(latency);
+  const int64_t clamped = std::max<int64_t>(latency, 0);
+  sum_ += clamped;
+  max_ = std::max(max_, clamped);
   samples_.push_back(latency);
   sorted_ = false;
 }
 
 void LatencyRecorder::Reset() {
-  histogram_.Reset();
   samples_.clear();
   sorted_ = true;
+  sum_ = 0;
+  max_ = 0;
 }
 
 double LatencyRecorder::MeanMs() const {
-  return histogram_.Mean() / kMillisecond;
+  const double mean = samples_.empty() ? 0.0 : static_cast<double>(sum_) / samples_.size();
+  return mean / kMillisecond;
 }
 
 double LatencyRecorder::PercentileMs(double p) const {
@@ -39,7 +43,7 @@ double LatencyRecorder::PercentileMs(double p) const {
 }
 
 double LatencyRecorder::MaxMs() const {
-  return static_cast<double>(histogram_.max()) / kMillisecond;
+  return static_cast<double>(max_) / kMillisecond;
 }
 
 }  // namespace achilles

@@ -1,7 +1,6 @@
-// Latency statistics per run. LatencyRecorder is a thin compatibility shim over
-// obs::Histogram: recordings feed the fixed log-scale buckets (exported by the metrics
-// registry / --json-out), while a raw sample vector is retained so the percentile API keeps
-// the exact interpolated semantics the benches were calibrated against.
+// Latency statistics per run. LatencyRecorder keeps the raw samples, so percentiles keep
+// the exact interpolated semantics the benches were calibrated against, plus a running sum
+// and max. Like obs::Histogram::Record, the sum and max count a negative sample as 0.
 #ifndef SRC_CONSENSUS_METRICS_H_
 #define SRC_CONSENSUS_METRICS_H_
 
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "src/common/sim_time.h"
-#include "src/obs/metrics.h"
 
 namespace achilles {
 
@@ -18,19 +16,17 @@ class LatencyRecorder {
   void Record(SimDuration latency);
   void Reset();
 
-  uint64_t count() const { return histogram_.count(); }
+  uint64_t count() const { return samples_.size(); }
   double MeanMs() const;
   // p is clamped to [0, 100]; empty recorders report 0 for every statistic.
   double PercentileMs(double p) const;
   double MaxMs() const;
 
-  // Bucketed view of the same samples (for registry snapshots and JSON export).
-  const obs::Histogram& histogram() const { return histogram_; }
-
  private:
-  obs::Histogram histogram_;
   mutable std::vector<SimDuration> samples_;
   mutable bool sorted_ = true;
+  int64_t sum_ = 0;
+  int64_t max_ = 0;
 };
 
 }  // namespace achilles

@@ -279,10 +279,9 @@ void ReplicaBase::PersistStableCheckpoint(const checkpoint::CheckpointCert& cert
   CheckpointCertStore().Put(checkpoint::kCertKey, ByteView(cert_wire.data(), cert_wire.size()));
   JournalEvent(obs::JournalKind::kCheckpointStable, cert.height, cert.sigs.size());
   // Truncate the in-memory block store behind the stable checkpoint, keeping the catch-up
-  // slack: peers fewer than catchup_intervals * interval blocks behind still backfill via
+  // slack: peers fewer than kCatchupIntervals * interval blocks behind still backfill via
   // block fetch, anything deeper goes through snapshot transfer instead.
-  const Height slack =
-      ctx_.ckpt.interval * static_cast<Height>(std::max<uint32_t>(1, ctx_.ckpt.catchup_intervals));
+  const Height slack = ctx_.ckpt.CatchupSlack();
   if (cert.height > slack) {
     store_.PruneBelow(cert.height - slack);
   }
@@ -311,17 +310,6 @@ void ReplicaBase::AdoptStateTransfer(const BlockPtr& block, size_t cert_wire_siz
   AdoptCheckpoint(block, cert_wire_size);
   ckpt_floor_ = std::max(ckpt_floor_, block->height);
   OnCheckpointAdopted(block);
-}
-
-bool ReplicaBase::HaveChainAboveCommitted(const Hash256& hash) const {
-  BlockPtr cur = store_.Get(hash);
-  while (cur != nullptr) {
-    if (cur->height <= last_committed_height_ || cur->hash == last_committed_hash_) {
-      return true;
-    }
-    cur = store_.Get(cur->parent);
-  }
-  return false;
 }
 
 bool ReplicaBase::EnsureAncestry(const Hash256& target, NodeId peer) {

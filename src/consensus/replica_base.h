@@ -251,10 +251,6 @@ class ReplicaBase : public IProcess {
   // blocks whose commitment is certified (f+1 store certificates).
   void AdoptCheckpoint(const BlockPtr& block, size_t cert_wire_size);
 
-  // True iff every parent link from `hash` down to the committed prefix is present — the
-  // paper's block-availability rule, bounded by finality (no need to reach genesis).
-  bool HaveChainAboveCommitted(const Hash256& hash) const;
-
   // Ensures the uncommitted ancestry of `target` is present; if a link is missing, requests
   // the deepest missing ancestor from `peer` and returns false. Each fetch round makes
   // strict progress, so repeated calls converge.

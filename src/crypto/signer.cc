@@ -155,9 +155,4 @@ bool CryptoSuite::VerifyQuorum(const std::vector<Signature>& sigs, ByteView msg,
   return sigs.size() >= quorum;
 }
 
-const AffinePoint& CryptoSuite::PublicKey(uint32_t party) const {
-  ACHILLES_CHECK(scheme_ == SignatureScheme::kSchnorr && party < num_parties_);
-  return schnorr_keys_[party].pub;
-}
-
 }  // namespace achilles

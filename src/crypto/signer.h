@@ -60,8 +60,6 @@ class CryptoSuite {
   // and at least `quorum` of them.
   bool VerifyQuorum(const std::vector<Signature>& sigs, ByteView msg, size_t quorum) const;
 
-  const AffinePoint& PublicKey(uint32_t party) const;
-
   // Memo geometry. A slot holds one verified (signer, message, blob) triple; messages
   // longer than kMemoMaxMsg bytes are never memoized.
   static constexpr size_t kMemoSlots = 4096;

@@ -107,7 +107,7 @@ Cluster::Cluster(const ClusterConfig& config)
     }
     kv_service_ = std::make_unique<app::KvService>(std::move(replica_hosts), &net_,
                                                    &tracker_, kv_client_host_id(),
-                                                   config_.kv, config_.broken, &metrics_);
+                                                   config_.broken, &metrics_);
     tracker_.AddCommitListener([this](NodeId replica, const BlockPtr& block, SimTime now) {
       kv_service_->OnCommit(replica, block, now);
     });
@@ -199,13 +199,9 @@ void Cluster::Start() {
         std::make_unique<ClientProcess>(hosts_[n_].get(), &net_, &tracker_, cc));
   }
   if (config_.app_kv) {
-    KvClientConfig kc = config_.kv_client;
-    kc.num_replicas = n_;
-    kc.first_replica_host = 0;
-    kc.f = config_.f;
-    kc.payload_size = config_.kv.payload_size;
     Host* kv_host = hosts_[config_.with_client ? n_ + 1 : n_].get();
-    auto kv_client = std::make_unique<KvClientProcess>(kv_host, &net_, kc, &metrics_);
+    auto kv_client = std::make_unique<KvClientProcess>(kv_host, &net_, n_, config_.f,
+                                                       config_.kv_client, &metrics_);
     kv_client_ = kv_client.get();
     kv_host->BindProcess(std::move(kv_client));
   }

@@ -124,8 +124,7 @@ struct ClusterConfig {
   // background ClientProcess keeps running: its op=0 transactions are pure load, which
   // keeps blocks flowing even while every KV session waits on a response.
   bool app_kv = false;
-  app::KvAppOptions kv;        // Lease parameters.
-  KvClientConfig kv_client;    // Topology fields (n/f/hosts/payload) are overwritten.
+  KvClientConfig kv_client;
   // Protocol-aware checkpointing (src/checkpoint). When ckpt.enabled, a CheckpointManager
   // certifies boundary commits, truncates WALs and block stores behind stable checkpoints,
   // and serves snapshot state transfer to lagging replicas.
@@ -172,7 +171,6 @@ class Cluster {
   CommitTracker& tracker() { return tracker_; }
   const ClusterConfig& config() const { return config_; }
   uint32_t num_replicas() const { return n_; }
-  uint32_t client_host_id() const { return n_; }
   // KV app accessors (null / invalid unless config.app_kv).
   uint32_t kv_client_host_id() const { return n_ + (config_.with_client ? 1 : 0); }
   app::KvService* kv_service() { return kv_service_.get(); }

@@ -208,7 +208,6 @@ void CalendarQueue::Resize(size_t nbuckets) {
   buckets_.assign(nbuckets, Bucket{});
   mask_ = nbuckets - 1;
   width_ = EstimateWidth(nodes);
-  ++resizes_;
   cur_day_ = nodes.empty() ? 0 : DayOf(nodes.front()->time);
   for (EventNode* n : nodes) {
     n->prev = nullptr;

@@ -93,7 +93,6 @@ class CalendarQueue {
   void Remove(EventNode* n, EventPool& pool);
 
   size_t size() const { return size_; }
-  uint64_t resizes() const { return resizes_; }
 
  private:
   struct Bucket {
@@ -116,7 +115,6 @@ class CalendarQueue {
   SimDuration width_ = Us(1);
   uint64_t cur_day_ = 0;
   size_t size_ = 0;
-  uint64_t resizes_ = 0;
 };
 
 }  // namespace achilles

@@ -35,7 +35,6 @@ class SealedStorage {
 
   // --- Adversary controls ---
   void SetRollbackMode(RollbackMode mode) { mode_ = mode; }
-  RollbackMode rollback_mode() const { return mode_; }
   void PinServedVersion(const std::string& key, size_t version);
 
   size_t NumVersions(const std::string& key) const;

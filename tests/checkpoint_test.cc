@@ -167,7 +167,7 @@ TEST(CheckpointClusterTest, LaggardRejoinsViaSnapshotTransfer) {
   cluster.sim().RunFor(Ms(500));
   const uint32_t victim = cluster.num_replicas() - 1;
   cluster.CrashReplica(victim);
-  cluster.sim().RunFor(Ms(1500));  // Far past catchup_intervals * interval = 16 heights.
+  cluster.sim().RunFor(Ms(1500));  // Far past kCatchupIntervals * interval = 16 heights.
   const Height frontier = cluster.replica(0)->last_committed_height();
   ASSERT_GT(frontier, 16u);
   cluster.RebootReplica(victim);

@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <unordered_set>
-
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/common/serde.h"
 #include "src/common/sim_time.h"
-#include "src/common/u64_set.h"
 
 namespace achilles {
 namespace {
@@ -146,83 +143,6 @@ TEST(SimTimeTest, UnitConversions) {
   EXPECT_DOUBLE_EQ(ToMs(Ms(25)), 25.0);
   EXPECT_DOUBLE_EQ(ToUs(Us(13)), 13.0);
   EXPECT_EQ(FromMs(0.5), Us(500));
-}
-
-
-// --- U64Set (flat open-addressing set on the mempool hot path) ---
-
-TEST(U64SetTest, InsertContainsAndDuplicates) {
-  U64Set set;
-  EXPECT_TRUE(set.empty());
-  EXPECT_TRUE(set.Insert(42));
-  EXPECT_FALSE(set.Insert(42));  // Second insert reports "already present".
-  EXPECT_TRUE(set.Contains(42));
-  EXPECT_FALSE(set.Contains(43));
-  EXPECT_EQ(set.size(), 1u);
-}
-
-TEST(U64SetTest, ZeroKeyIsAFirstClassMember) {
-  // Zero is the empty-slot sentinel internally; the set must still store it correctly.
-  U64Set set;
-  EXPECT_FALSE(set.Contains(0));
-  EXPECT_TRUE(set.Insert(0));
-  EXPECT_FALSE(set.Insert(0));
-  EXPECT_TRUE(set.Contains(0));
-  EXPECT_EQ(set.size(), 1u);
-}
-
-TEST(U64SetTest, GrowthPreservesMembershipDifferentialVsStdSet) {
-  U64Set set;
-  std::unordered_set<uint64_t> reference;
-  Rng rng(0x5e7);
-  for (int i = 0; i < 20'000; ++i) {
-    // Clustered keys (ids are often sequential) plus random ones stress probe chains.
-    const uint64_t key = rng.UniformU64(3) == 0 ? rng.UniformU64(1 << 12)
-                                                : rng.NextU64();
-    EXPECT_EQ(set.Insert(key), reference.insert(key).second);
-  }
-  EXPECT_EQ(set.size(), reference.size());
-  for (const uint64_t key : reference) {
-    EXPECT_TRUE(set.Contains(key));
-  }
-  for (int i = 0; i < 1'000; ++i) {
-    const uint64_t probe = rng.NextU64();
-    EXPECT_EQ(set.Contains(probe), reference.count(probe) != 0);
-  }
-}
-
-TEST(U64SetTest, EraseDifferentialVsStdSet) {
-  // Small key range so erases hit long probe chains that wrap around the table.
-  U64Set set;
-  std::unordered_set<uint64_t> reference;
-  Rng rng(0xe7a5e);
-  for (int i = 0; i < 50'000; ++i) {
-    const uint64_t key = rng.UniformU64(3) == 0 ? rng.NextU64() : rng.UniformU64(600);
-    if (rng.Chance(0.45)) {
-      ASSERT_EQ(set.Erase(key), reference.erase(key) == 1) << "op " << i;
-    } else {
-      ASSERT_EQ(set.Insert(key), reference.insert(key).second) << "op " << i;
-    }
-    ASSERT_EQ(set.size(), reference.size());
-  }
-  for (uint64_t key = 0; key < 600; ++key) {
-    EXPECT_EQ(set.Contains(key), reference.count(key) != 0) << key;
-  }
-}
-
-TEST(U64SetTest, ReserveAvoidsRehashButChangesNothingObservable) {
-  U64Set reserved;
-  reserved.Reserve(10'000);
-  U64Set organic;
-  for (uint64_t key = 1; key <= 10'000; ++key) {
-    EXPECT_TRUE(reserved.Insert(key));
-    EXPECT_TRUE(organic.Insert(key));
-  }
-  EXPECT_EQ(reserved.size(), organic.size());
-  for (uint64_t key = 1; key <= 10'000; ++key) {
-    EXPECT_TRUE(reserved.Contains(key));
-    EXPECT_TRUE(organic.Contains(key));
-  }
 }
 
 }  // namespace

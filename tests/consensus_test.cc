@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "src/common/rng.h"
-#include "src/common/u64_set.h"
 #include "src/consensus/block.h"
 #include "src/consensus/certificates.h"
 #include "src/consensus/commit_tracker.h"
@@ -200,7 +199,7 @@ class ReferenceMempool {
  public:
   void AddBatch(const std::vector<Transaction>& txs) {
     for (const Transaction& tx : txs) {
-      if (known_.Insert(tx.id)) {
+      if (known_.insert(tx.id).second) {
         queue_.push_back(tx);
       }
     }
@@ -210,7 +209,7 @@ class ReferenceMempool {
     while (batch.size() < max && !queue_.empty()) {
       Transaction tx = queue_.front();
       queue_.pop_front();
-      if (!committed_.Contains(tx.id)) {
+      if (!committed_.contains(tx.id)) {
         batch.push_back(tx);
       }
     }
@@ -218,15 +217,15 @@ class ReferenceMempool {
   }
   void MarkCommitted(const std::vector<Transaction>& txs) {
     for (const Transaction& tx : txs) {
-      committed_.Insert(tx.id);
-      known_.Insert(tx.id);
+      committed_.insert(tx.id);
+      known_.insert(tx.id);
     }
   }
 
  private:
   std::deque<Transaction> queue_;
-  U64Set known_;
-  U64Set committed_;
+  std::unordered_set<uint64_t> known_;
+  std::unordered_set<uint64_t> committed_;
 };
 
 // Draws tx ids in the shapes the id set has to absorb. Each client streams every seq

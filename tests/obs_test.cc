@@ -429,7 +429,7 @@ TEST(LatencyRecorderTest, PercentileBoundsAndClamping) {
   EXPECT_DOUBLE_EQ(rec.PercentileMs(1000), 100.0);  // Clamped to p100.
   EXPECT_NEAR(rec.PercentileMs(50), 50.5, 1.0);
   EXPECT_DOUBLE_EQ(rec.MaxMs(), 100.0);
-  EXPECT_EQ(rec.histogram().count(), 100u);
+  EXPECT_EQ(rec.count(), 100u);
   rec.Reset();
   EXPECT_EQ(rec.count(), 0u);
   EXPECT_EQ(rec.PercentileMs(50), 0.0);
