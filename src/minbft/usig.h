@@ -65,7 +65,6 @@ class UsigVerifier {
   bool AcceptNext(NodeId sender, const UniqueIdentifier& ui);
   // True iff `ui`'s counter is beyond everything seen from `sender` (and records it).
   bool AcceptMonotonic(NodeId sender, const UniqueIdentifier& ui);
-  uint64_t last_seen(NodeId sender) const { return last_seen_[sender]; }
 
  private:
   std::vector<uint64_t> last_seen_;

@@ -55,7 +55,6 @@ class Network {
   void SetMachine(uint32_t host_id, uint32_t machine_id);
 
   const NetworkConfig& config() const { return config_; }
-  void set_config(const NetworkConfig& config) { config_ = config; }
 
   // Enables/disables scripted schedule perturbation ({} turns it off).
   void SetChaos(const NetworkChaos& chaos) { chaos_ = chaos; }
