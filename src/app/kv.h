@@ -71,7 +71,6 @@ class KvState {
   KvCell Read(uint32_t key) const;
 
   Height height() const { return height_; }
-  const Hash256& head() const { return head_; }
   size_t num_keys() const { return cells_.size(); }
 
  private:

@@ -128,8 +128,6 @@ class KvService : public AppMessageSink {
   // mirror can still replay). Called by the Cluster when a checkpoint becomes stable.
   void PruneBelow(Height keep_from);
 
-  // First-commit materialized state: checker-side ground truth, zero simulated cost.
-  const KvState& canonical() const { return canonical_; }
   const KvState& mirror(NodeId replica) const { return per_replica_[replica].mirror; }
   uint64_t lease_reads_served() const { return lease_reads_served_; }
   uint64_t stale_read_candidates() const { return stale_read_candidates_; }

@@ -139,7 +139,6 @@ class CheckpointManager : public AppMessageSink {
   uint64_t checkpoints_assembled() const { return checkpoints_assembled_; }
   uint64_t votes_cast() const { return votes_cast_; }
   uint64_t snapshot_adopts() const { return snapshot_adopts_; }
-  const CheckpointOptions& options() const { return opts_; }
 
  private:
   // One boundary awaiting stability at one replica.

@@ -221,7 +221,6 @@ class Cluster {
   // --- Observability (src/obs) ---
   obs::MetricsRegistry& metrics() { return metrics_; }
   obs::Recorder& recorder() { return recorder_; }
-  const obs::BreakdownAttributor& breakdown() const { return breakdown_; }
 
  private:
   std::unique_ptr<ReplicaBase> MakeReplica(uint32_t id, bool initial_launch);

@@ -58,7 +58,6 @@ class Network {
 
   // Enables/disables scripted schedule perturbation ({} turns it off).
   void SetChaos(const NetworkChaos& chaos) { chaos_ = chaos; }
-  const NetworkChaos& chaos() const { return chaos_; }
 
   // Observability tap: invoked once per scheduled delivery (including chaos duplicates)
   // with (from, to, msg, arrival). Never called for dropped/blocked messages. The tap runs

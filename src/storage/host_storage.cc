@@ -25,7 +25,6 @@ WriteAheadLog::WriteAheadLog(HostStableStorage* device, std::string name)
 void WriteAheadLog::Append(ByteView record, SyncMode mode) {
   records_.emplace_back(record.begin(), record.end());
   bytes_ += record.size();
-  ++appends_;
   device_->ever_written_ = true;
   device_->host_->JournalEvent(obs::JournalKind::kWalAppend, record.size(),
                                records_.size(), name_);

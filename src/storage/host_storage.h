@@ -81,7 +81,6 @@ class WriteAheadLog {
   size_t NumRecords() const { return records_.size(); }
   size_t DurableRecords() const { return durable_records_; }
   uint64_t TotalBytes() const { return bytes_; }
-  uint64_t appends() const { return appends_; }
 
  private:
   friend class HostStableStorage;
@@ -92,7 +91,6 @@ class WriteAheadLog {
   size_t durable_records_ = 0;
   uint64_t bytes_ = 0;          // Sum of record sizes currently in the log.
   uint64_t durable_bytes_ = 0;  // Bytes at or below the durable frontier.
-  uint64_t appends_ = 0;
 };
 
 // Small atomic key-value store (metadata records: terms, votes, locks). A put atomically

@@ -9,7 +9,6 @@ void SealedStorage::Put(const std::string& key, Bytes blob) {
 
 std::optional<Bytes> SealedStorage::Get(const std::string& key,
                                         size_t* served_version) const {
-  ++gets_;
   if (served_version != nullptr) {
     *served_version = 0;
   }

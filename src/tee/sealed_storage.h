@@ -39,14 +39,12 @@ class SealedStorage {
 
   size_t NumVersions(const std::string& key) const;
   uint64_t puts() const { return puts_; }
-  uint64_t gets() const { return gets_; }
 
  private:
   std::map<std::string, std::vector<Bytes>> versions_;
   std::map<std::string, size_t> pinned_;
   RollbackMode mode_ = RollbackMode::kLatest;
   uint64_t puts_ = 0;
-  mutable uint64_t gets_ = 0;
 };
 
 }  // namespace achilles
