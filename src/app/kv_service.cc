@@ -14,8 +14,7 @@ constexpr uint32_t kStableStreak = 3;  // K: self-led blocks applied before serv
 }  // namespace
 
 KvService::KvService(std::vector<Host*> replica_hosts, Network* net, CommitTracker* tracker,
-                     uint32_t kv_client_host, BrokenVariant broken,
-                     obs::MetricsRegistry* metrics)
+                     uint32_t kv_client_host, BrokenVariant broken, obs::MetricsRegistry* metrics)
     : hosts_(std::move(replica_hosts)),
       net_(net),
       tracker_(tracker),

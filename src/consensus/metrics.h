@@ -1,6 +1,6 @@
-// Latency statistics per run. LatencyRecorder keeps the raw samples, so percentiles keep
-// the exact interpolated semantics the benches were calibrated against, plus a running sum
-// and max. Like obs::Histogram::Record, the sum and max count a negative sample as 0.
+// Latency statistics per run. LatencyRecorder keeps the raw samples (so percentiles keep
+// the exact interpolated semantics the benches were calibrated against) plus a running sum
+// and max, which count a negative sample as 0, as obs::Histogram::Record does.
 #ifndef SRC_CONSENSUS_METRICS_H_
 #define SRC_CONSENSUS_METRICS_H_
 

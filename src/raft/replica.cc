@@ -208,7 +208,10 @@ void RaftReplica::OnAppend(NodeId from, const std::shared_ptr<const RaftAppendMs
   leader_hint_ = from;
   ArmElectionTimer();
 
-  if (msg->block != nullptr) {
+  // An append at or below the commit index is one the leader committed long ago (a
+  // delayed re-delivery): taking it in would restore a block the checkpoint pruned and ack
+  // it again.
+  if (msg->block != nullptr && msg->block->height > last_committed_height_) {
     ChargeHashBytes(msg->block->WireSize());
     if (AcceptBlock(msg->block) && EnsureAncestry(msg->block->hash, from)) {
       if (msg->block->parent == head_->hash || msg->block->height > head_->height) {

@@ -4,10 +4,13 @@
 // adversarial snapshot fates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/checkpoint/checkpoint.h"
 #include "src/checkpoint/manager.h"
 #include "src/harness/cluster.h"
 #include "src/obs/journal.h"
+#include "src/raft/replica.h"
 
 namespace achilles {
 namespace {
@@ -178,6 +181,48 @@ TEST(CheckpointClusterTest, LaggardRejoinsViaSnapshotTransfer) {
   EXPECT_GE(rep->last_committed_height(), frontier);
   EXPECT_GT(rep->checkpoint_floor(), 0u);  // The adopted cert raised the rollback floor.
   EXPECT_FALSE(cluster.tracker().safety_violated()) << cluster.tracker().violation();
+}
+
+// A Raft follower takes no append at or below its committed height: it sends no ack, and a
+// block its stable checkpoint already pruned from the store does not come back.
+TEST(CheckpointClusterTest, RaftFollowerIgnoresAppendsAtOrBelowItsCommit) {
+  constexpr NodeId kLeader = 0;  // Raft's bootstrap leader.
+  constexpr NodeId kFollower = 1;
+  Cluster cluster(CkptConfig(Protocol::kRaft, 8, 77));
+  BlockPtr early;  // The first block the leader replicated to the follower.
+  std::vector<Hash256> acked;
+  cluster.net().SetDeliveryTap(
+      [&](uint32_t from, uint32_t to, const MessageRef& msg, SimTime /*arrival*/) {
+        if (from == kLeader && to == kFollower && early == nullptr) {
+          if (const auto* append = dynamic_cast<const RaftAppendMsg*>(msg.get())) {
+            early = append->block;
+          }
+        }
+        if (from == kFollower && to == kLeader) {
+          if (const auto* ack = dynamic_cast<const RaftAckMsg*>(msg.get())) {
+            acked.push_back(ack->hash);
+          }
+        }
+      });
+  cluster.Start();
+  cluster.sim().RunFor(Sec(1));
+  ASSERT_NE(early, nullptr);
+  const auto* leader = dynamic_cast<const RaftReplica*>(cluster.replica(kLeader));
+  const ReplicaBase* follower = cluster.replica(kFollower);
+  ASSERT_NE(leader, nullptr);
+  ASSERT_EQ(leader->role(), RaftReplica::Role::kLeader);
+  ASSERT_GT(follower->last_committed_height(), early->height + 2 * 8);
+  ASSERT_FALSE(follower->store().Has(early->hash));  // Pruned behind a checkpoint.
+
+  acked.clear();
+  auto stale = std::make_shared<RaftAppendMsg>();
+  stale->term = leader->term();
+  stale->block = early;
+  cluster.net().Send(kLeader, kFollower, stale);
+  cluster.sim().RunFor(Ms(1));  // Delivered, and before the next checkpoint prunes again.
+  EXPECT_FALSE(follower->store().Has(early->hash));
+  cluster.sim().RunFor(Ms(20));
+  EXPECT_EQ(std::count(acked.begin(), acked.end(), early->hash), 0);
 }
 
 TEST(CheckpointClusterTest, CorruptSnapshotIsRejectedOnReboot) {
