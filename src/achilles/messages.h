@@ -1,4 +1,5 @@
-// Wire messages of the Achilles protocol (normal case + recovery).
+// Achilles' recovery messages (Algorithm 3); its normal-case phases use the chained
+// family's shared messages (src/consensus/chained_replica.h).
 #ifndef SRC_ACHILLES_MESSAGES_H_
 #define SRC_ACHILLES_MESSAGES_H_
 
@@ -6,41 +7,6 @@
 #include "src/sim/process.h"
 
 namespace achilles {
-
-// Leader -> all: ⟨b, φ_b⟩. The block certificate from the leader's CHECKER is the whole
-// justification — backups need no quorum certificate because TEEprepare already enforced
-// the parent-selection rules (this is what removes Damysus' PREPARE phase).
-struct AchProposeMsg : SimMessage {
-  const char* TraceName() const override { return "ach_propose"; }
-  BlockPtr block;
-  SignedCert block_cert;
-
-  size_t WireSize() const override { return block->WireSize() + block_cert.WireSize(); }
-};
-
-// Backup -> leader: store certificate φ_s.
-struct AchVoteMsg : SimMessage {
-  const char* TraceName() const override { return "ach_vote"; }
-  SignedCert store_cert;
-
-  size_t WireSize() const override { return store_cert.WireSize(); }
-};
-
-// Leader -> all (and every node -> next leader): commitment certificate φ_c.
-struct AchDecideMsg : SimMessage {
-  const char* TraceName() const override { return "ach_decide"; }
-  QuorumCert commit_cert;
-
-  size_t WireSize() const override { return commit_cert.WireSize(); }
-};
-
-// Node -> leader of the new view: φ_v.
-struct AchNewViewMsg : SimMessage {
-  const char* TraceName() const override { return "ach_new_view"; }
-  SignedCert view_cert;
-
-  size_t WireSize() const override { return view_cert.WireSize(); }
-};
 
 // Recovering node -> all: ⟨REQ, nonce⟩.
 struct AchRecoveryRequestMsg : SimMessage {

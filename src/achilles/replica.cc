@@ -5,7 +5,7 @@
 namespace achilles {
 
 AchillesReplica::AchillesReplica(const ReplicaContext& ctx, bool initial_launch)
-    : ChainedReplica(ctx, {kAchNewView, kAchCommit}),
+    : ChainedReplica(ctx, kAchillesWire),
       checker_(&enclave(), ctx.params.n, ctx.params.f, initial_launch,
                ctx.params.broken == BrokenVariant::kRecoveryNonce) {
   preb_.block = Block::Genesis();
@@ -28,16 +28,14 @@ void AchillesReplica::OnStart() {
 }
 
 void AchillesReplica::HandleMessage(NodeId from, const MessageRef& msg) {
-  if (auto propose = std::dynamic_pointer_cast<const AchProposeMsg>(msg)) {
+  if (auto propose = std::dynamic_pointer_cast<const ChainedProposeMsg>(msg)) {
     OnPropose(from, propose);
-  } else if (auto vote = std::dynamic_pointer_cast<const AchVoteMsg>(msg)) {
-    if (auto commit_cert = CollectVote(0, vote->store_cert, kAchCommit)) {
-      BroadcastToReplicas(MakeDecide(std::move(*commit_cert)), /*include_self=*/true);
-    }
-  } else if (auto decide = std::dynamic_pointer_cast<const AchDecideMsg>(msg)) {
-    OnDecide(from, msg, decide->commit_cert);
-  } else if (auto nv = std::dynamic_pointer_cast<const AchNewViewMsg>(msg)) {
-    OnNewView(nv->view_cert);
+  } else if (auto vote = std::dynamic_pointer_cast<const ChainedCommitVoteMsg>(msg)) {
+    OnCommitVote(0, vote->cert);
+  } else if (auto decide = std::dynamic_pointer_cast<const ChainedDecideMsg>(msg)) {
+    OnDecide(from, msg, decide->qc);
+  } else if (auto nv = std::dynamic_pointer_cast<const ChainedNewViewMsg>(msg)) {
+    OnNewView(nv->cert);
   } else if (auto req = std::dynamic_pointer_cast<const AchRecoveryRequestMsg>(msg)) {
     OnRecoveryRequest(from, *req);
   } else if (auto rpy = std::dynamic_pointer_cast<const AchRecoveryReplyMsg>(msg)) {
@@ -45,46 +43,24 @@ void AchillesReplica::HandleMessage(NodeId from, const MessageRef& msg) {
   }
 }
 
-MessageRef AchillesReplica::MakeNewView(const SignedCert& view_cert) const {
-  auto msg = std::make_shared<AchNewViewMsg>();
-  msg->view_cert = view_cert;
-  return msg;
-}
-
-MessageRef AchillesReplica::MakePropose(const BlockPtr& block,
-                                        const SignedCert& block_cert) const {
-  auto msg = std::make_shared<AchProposeMsg>();
-  msg->block = block;
-  msg->block_cert = block_cert;
-  return msg;
-}
-
-MessageRef AchillesReplica::MakeDecide(QuorumCert commit_cert) const {
-  auto msg = std::make_shared<AchDecideMsg>();
-  msg->commit_cert = std::move(commit_cert);
-  return msg;
-}
-
 // --- Normal case: store + vote ---
 
 void AchillesReplica::OnPropose(NodeId from,
-                                const std::shared_ptr<const AchProposeMsg>& msg) {
-  if (!AdmitProposal(from, msg, msg->block, msg->block_cert)) {
+                                const std::shared_ptr<const ChainedProposeMsg>& msg) {
+  if (!AdmitProposal(from, msg, msg->block, msg->cert)) {
     return;
   }
-  const auto store_cert = checker_.TeeStore(msg->block_cert);
+  const auto store_cert = checker_.TeeStore(msg->cert);
   if (!store_cert) {
     return;
   }
   if (preb_.block == nullptr || msg->block->view >= preb_.block->view) {
-    preb_ = StoredBlock{msg->block, msg->block_cert, QuorumCert{}};
+    preb_ = StoredBlock{msg->block, msg->cert, QuorumCert{}};
   }
-  const View v = msg->block_cert.view;
+  const View v = msg->cert.view;
   NoteProgress(v);
-
-  auto vote = std::make_shared<AchVoteMsg>();
-  vote->store_cert = *store_cert;
-  SendTo(LeaderOf(v), vote);
+  SendTo(LeaderOf(v), std::make_shared<ChainedCommitVoteMsg>(kAchillesWire.commit_vote,
+                                                             *store_cert));
 }
 
 void AchillesReplica::OnDecided(const BlockPtr& block, const QuorumCert& cert) {
@@ -238,7 +214,7 @@ void AchillesReplica::TryFinishRecovery() {
   recovered_certs_.clear();
   best_recovery_checkpoint_ = StoredBlock{};
   NoteProgress(view);
-  SendTo(LeaderOf(view), MakeNewView(*view_cert));
+  SendTo(LeaderOf(view), std::make_shared<ChainedNewViewMsg>(kAchillesWire.new_view, *view_cert));
 }
 
 void AchillesReplica::OnBlocksSynced() {

@@ -14,6 +14,21 @@
 
 namespace achilles {
 
+// Achilles' trace names and signing domains (one vote phase: no first-phase vote or
+// PRE-COMMIT).
+inline constexpr ChainedWireSpec kAchillesWire{
+    .propose = "ach_propose",
+    .vote = nullptr,
+    .precommit = nullptr,
+    .commit_vote = "ach_vote",
+    .decide = "ach_decide",
+    .new_view = "ach_new_view",
+    .domains = {.prep = kAchProp,
+                .vote1 = nullptr,
+                .commit = kAchCommit,
+                .new_view = kAchNewView,
+                .acc = kAchAcc}};
+
 class AchillesReplica : public ChainedReplica {
  public:
   // `initial_launch` must be true only for the genesis incarnation of the node; reboots
@@ -56,9 +71,6 @@ class AchillesReplica : public ChainedReplica {
     return acc != nullptr ? checker_.TeePrepare(block, *acc)
                           : checker_.TeePrepare(block, *commit_cert);
   }
-  MessageRef MakeNewView(const SignedCert& view_cert) const override;
-  MessageRef MakePropose(const BlockPtr& block, const SignedCert& block_cert) const override;
-  MessageRef MakeDecide(QuorumCert commit_cert) const override;
   void OnDecided(const BlockPtr& block, const QuorumCert& cert) override;
 
  private:
@@ -68,7 +80,7 @@ class AchillesReplica : public ChainedReplica {
     QuorumCert commit_cert;
   };
 
-  void OnPropose(NodeId from, const std::shared_ptr<const AchProposeMsg>& msg);
+  void OnPropose(NodeId from, const std::shared_ptr<const ChainedProposeMsg>& msg);
   void OnRecoveryRequest(NodeId from, const AchRecoveryRequestMsg& msg);
   void OnRecoveryReply(NodeId from, const AchRecoveryReplyMsg& msg);
 

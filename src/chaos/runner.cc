@@ -241,8 +241,6 @@ ChaosResult RunChaosSeed(const ChaosOptions& options, uint64_t seed) {
   params.protocol = protocol;
   params.f = f;
   params.defense = effective.defense;
-  params.heal_at = options.heal_at;
-  params.liveness_window = options.liveness_window;
   params.reboot_prob = options.reboot_prob;
   params.ckpt_prob = options.ckpt_prob;
   FaultScript script = SampleFaultScript(params, rng);

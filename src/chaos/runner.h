@@ -34,13 +34,9 @@ struct ChaosOptions {
   // peer-quorum reboot fates to the sampler, and arm the defense version-monotonic
   // oracle. Overridden by the kQuorumRestoreSkip / kCertFloorSkip broken variants.
   persist::DefenseKind defense = persist::DefenseKind::kLocal;
-  // Fault window end / post-heal liveness budget. The window must absorb the pacemaker's
-  // accumulated exponential backoff after heal, so keep it generous.
-  SimTime heal_at = Ms(1400);
-  SimDuration liveness_window = Sec(12);
-  // Cluster load knobs (small batches commit fast, which sharpens the liveness oracle).
-  size_t batch_size = 20;
-  double client_rate_tps = 500.0;
+  // Cluster load (small batches commit fast, which sharpens the liveness oracle).
+  static constexpr size_t batch_size = 20;
+  static constexpr double client_rate_tps = 500.0;
   // Probability a sampled script carries crash+reboot cycles (--reboot-weight). CI shards
   // raise it to weight schedules toward reboot-and-restore coverage.
   double reboot_prob = 0.65;

@@ -2,8 +2,8 @@
 
 namespace achilles {
 
-ChainedReplica::ChainedReplica(const ReplicaContext& ctx, Domains domains)
-    : ReplicaBase(ctx), domains_(domains) {}
+ChainedReplica::ChainedReplica(const ReplicaContext& ctx, const ChainedWireSpec& wire)
+    : ReplicaBase(ctx), wire_(wire) {}
 
 // --- View change ---
 
@@ -14,7 +14,7 @@ void ChainedReplica::AdvanceViaNewView(View target) {
   }
   EnterView(target);
   ArmViewTimer();
-  SendTo(LeaderOf(target), MakeNewView(*cert));
+  SendTo(LeaderOf(target), std::make_shared<ChainedNewViewMsg>(wire_.new_view, *cert));
 }
 
 void ChainedReplica::RejoinAtTrustedView() {
@@ -132,7 +132,8 @@ void ChainedReplica::BuildAndBroadcastProposal(View w, const BlockPtr& parent,
   PruneBelow(commit_certs_, view());
   // The leader takes part in its own block too (self-delivery): with f Byzantine backups
   // every f+1 quorum must be reachable from the leader plus f correct backups.
-  BroadcastToReplicas(MakePropose(block, *block_cert), /*include_self=*/true);
+  BroadcastToReplicas(std::make_shared<ChainedProposeMsg>(wire_.propose, block, *block_cert),
+                      /*include_self=*/true);
 }
 
 bool ChainedReplica::AdmitProposal(NodeId from, const MessageRef& msg, const BlockPtr& block,
@@ -163,7 +164,7 @@ void ChainedReplica::OnNewView(const SignedCert& view_cert) {
   if (LeaderOf(w) != id() || w + kPruneHorizon < view() || proposed_hash_.count(w) > 0) {
     return;
   }
-  if (!VerifyPlain(view_cert, domains_.new_view)) {
+  if (!VerifyPlain(view_cert, wire_.domains.new_view)) {
     return;
   }
   std::vector<SignedCert>& certs = view_certs_[w];
@@ -174,6 +175,21 @@ void ChainedReplica::OnNewView(const SignedCert& view_cert) {
   }
   certs.push_back(view_cert);
   TryProposeFromViewCerts(w);
+}
+
+void ChainedReplica::OnFirstVote(const SignedCert& vote) {
+  if (auto prepared_qc = CollectVote(0, vote, wire_.domains.vote1)) {
+    BroadcastToReplicas(std::make_shared<ChainedPreCommitMsg>(wire_.precommit,
+                                                              std::move(*prepared_qc)),
+                        /*include_self=*/true);
+  }
+}
+
+void ChainedReplica::OnCommitVote(uint32_t phase, const SignedCert& vote) {
+  if (auto commit_cert = CollectVote(phase, vote, wire_.domains.commit)) {
+    BroadcastToReplicas(std::make_shared<ChainedDecideMsg>(wire_.decide, std::move(*commit_cert)),
+                        /*include_self=*/true);
+  }
 }
 
 std::optional<QuorumCert> ChainedReplica::CollectVote(uint32_t phase, const SignedCert& vote,
@@ -222,7 +238,7 @@ void ChainedReplica::OnDecide(NodeId from, const MessageRef& msg, const QuorumCe
     return;  // Duplicate decide for an already-committed block.
   }
   ChargeVerifyBatch(cert.sigs.size());
-  if (!cert.Verify(platform().suite(), domains_.commit, quorum())) {
+  if (!cert.Verify(platform().suite(), wire_.domains.commit, quorum())) {
     return;
   }
   if (block == nullptr) {

@@ -3,8 +3,9 @@
 // the view-change steps (timeout, trusted NEW-VIEW, rejoin at boot), NEW-VIEW collection
 // into the trusted accumulator, the commit-certificate hand-off to the next leader, both
 // proposal triggers, f+1 vote collection, DECIDE with chained commit, and the replay of
-// stashed work after a block sync. Each protocol keeps only its own phases and plugs its
-// trusted checker and wire messages in through the hooks below.
+// stashed work after a block sync. The three protocols share the phase messages below and
+// keep their own trace names and signing domains (their ChainedWireSpec); each keeps only
+// its own phases and plugs its trusted checker in through the hooks.
 #ifndef SRC_CONSENSUS_CHAINED_REPLICA_H_
 #define SRC_CONSENSUS_CHAINED_REPLICA_H_
 
@@ -13,19 +14,92 @@
 #include <vector>
 
 #include "src/consensus/certificates.h"
+#include "src/consensus/checker_core.h"
 #include "src/consensus/replica_base.h"
 
 namespace achilles {
 
+// One protocol's wire format: the trace name of each phase message and the signing domain
+// of each certificate kind. One-phase Achilles leaves `vote` and `precommit` null.
+struct ChainedWireSpec {
+  const char* propose;
+  const char* vote;         // First-phase vote.
+  const char* precommit;
+  const char* commit_vote;  // The vote whose f+1 signatures form the commit certificate.
+  const char* decide;
+  const char* new_view;
+  ChainedDomains domains;
+};
+
+// --- Phase messages (each returns the trace name it was built with) ---
+
+// Leader -> all: a block with the leader's block certificate. For Achilles the certificate
+// is the whole justification (TEEprepare enforced parent selection); OneShot marks its
+// fast path with aux == 1.
+struct ChainedProposeMsg : SimMessage {
+  ChainedProposeMsg(const char* name, BlockPtr proposed, const SignedCert& block_cert)
+      : trace_name(name), block(std::move(proposed)), cert(block_cert) {}
+  const char* TraceName() const override { return trace_name; }
+  size_t WireSize() const override { return block->WireSize() + cert.WireSize(); }
+  const char* trace_name;
+  BlockPtr block;
+  SignedCert cert;
+};
+
+// Backup -> leader: a first-phase vote (Damysus, OneShot's slow path).
+struct ChainedVoteMsg : SimMessage {
+  ChainedVoteMsg(const char* name, const SignedCert& vote) : trace_name(name), cert(vote) {}
+  const char* TraceName() const override { return trace_name; }
+  size_t WireSize() const override { return cert.WireSize(); }
+  const char* trace_name;
+  SignedCert cert;
+};
+
+// Backup -> leader: a commit vote (Achilles' store certificate, Damysus' second-phase
+// vote, OneShot's fast store or slow second-phase vote).
+struct ChainedCommitVoteMsg : SimMessage {
+  ChainedCommitVoteMsg(const char* name, const SignedCert& vote)
+      : trace_name(name), cert(vote) {}
+  const char* TraceName() const override { return trace_name; }
+  size_t WireSize() const override { return cert.WireSize(); }
+  const char* trace_name;
+  SignedCert cert;
+};
+
+// Leader -> all: the prepared QC (f+1 first-phase votes).
+struct ChainedPreCommitMsg : SimMessage {
+  ChainedPreCommitMsg(const char* name, QuorumCert prepared_qc)
+      : trace_name(name), qc(std::move(prepared_qc)) {}
+  const char* TraceName() const override { return trace_name; }
+  size_t WireSize() const override { return qc.WireSize(); }
+  const char* trace_name;
+  QuorumCert qc;
+};
+
+// Leader -> all (and every node -> next leader): the commit certificate.
+struct ChainedDecideMsg : SimMessage {
+  ChainedDecideMsg(const char* name, QuorumCert commit_qc)
+      : trace_name(name), qc(std::move(commit_qc)) {}
+  const char* TraceName() const override { return trace_name; }
+  size_t WireSize() const override { return qc.WireSize(); }
+  const char* trace_name;
+  QuorumCert qc;
+};
+
+// Node -> leader of the new view: the trusted NEW-VIEW certificate.
+struct ChainedNewViewMsg : SimMessage {
+  ChainedNewViewMsg(const char* name, const SignedCert& view_cert)
+      : trace_name(name), cert(view_cert) {}
+  const char* TraceName() const override { return trace_name; }
+  size_t WireSize() const override { return cert.WireSize(); }
+  const char* trace_name;
+  SignedCert cert;
+};
+
 class ChainedReplica : public ReplicaBase {
  protected:
-  // Signature domains of the protocol's NEW-VIEW certificates and of its commit votes (the
-  // commit certificate a DECIDE carries verifies under the latter).
-  struct Domains {
-    const char* new_view;
-    const char* commit;
-  };
-  ChainedReplica(const ReplicaContext& ctx, Domains domains);
+  // `wire` must outlive the replica (each protocol passes its constant spec).
+  ChainedReplica(const ReplicaContext& ctx, const ChainedWireSpec& wire);
 
   // --- Protocol hooks ---
   // False while the replica must not take part: Achilles recovering, a -R replica halted.
@@ -37,10 +111,6 @@ class ChainedReplica : public ReplicaBase {
   virtual std::optional<AccumulatorCert> TrustedAccum(const std::vector<SignedCert>& certs) = 0;
   virtual std::optional<SignedCert> TrustedPrepare(const Block& block, const AccumulatorCert* acc,
                                                    const QuorumCert* commit_cert) = 0;
-  // Wire messages (each protocol keeps its own structs and trace names).
-  virtual MessageRef MakeNewView(const SignedCert& view_cert) const = 0;
-  virtual MessageRef MakePropose(const BlockPtr& block, const SignedCert& block_cert) const = 0;
-  virtual MessageRef MakeDecide(QuorumCert commit_cert) const = 0;
   // A verified DECIDE for `block` was just committed (Achilles records recovery state).
   virtual void OnDecided(const BlockPtr& /*block*/, const QuorumCert& /*cert*/) {}
 
@@ -61,16 +131,22 @@ class ChainedReplica : public ReplicaBase {
                      const SignedCert& cert);
   // Leader: verify, dedup by signer, then propose once f+1 certificates for a view arrive.
   void OnNewView(const SignedCert& view_cert);
-  // Leader: vote collection for vote phase `phase` (also the critical-path tag). Verifies
-  // `vote` under `domain`, dedups by signer, and returns the f+1 certificate for the
-  // proposed block exactly once per view.
-  std::optional<QuorumCert> CollectVote(uint32_t phase, const SignedCert& vote,
-                                        const char* domain);
+  // Leader: a first-phase vote (Damysus, OneShot); f+1 of them go out in PRE-COMMIT.
+  void OnFirstVote(const SignedCert& vote);
+  // Leader: a commit vote of vote phase `phase` (0 in Achilles, 1 in Damysus and OneShot);
+  // f+1 of them go out as the commit certificate in DECIDE.
+  void OnCommitVote(uint32_t phase, const SignedCert& vote);
   // Any node: verify the commit certificate, commit the chain, hand it to the next leader.
   void OnDecide(NodeId from, const MessageRef& msg, const QuorumCert& cert);
 
  private:
   static constexpr uint32_t kVotePhases = 2;
+
+  // Vote collection for vote phase `phase` (also the critical-path tag). Verifies `vote`
+  // under `domain`, dedups by signer, and returns the f+1 certificate for the proposed
+  // block exactly once per view.
+  std::optional<QuorumCert> CollectVote(uint32_t phase, const SignedCert& vote,
+                                        const char* domain);
 
   void TryProposeFromCommit(View w);
   void TryProposeFromViewCerts(View w);
@@ -78,7 +154,7 @@ class ChainedReplica : public ReplicaBase {
                                  const QuorumCert* commit_cert);
   void EnterViewAfterCommit(View new_view, const MessageRef& decide, const QuorumCert& cert);
 
-  const Domains domains_;
+  const ChainedWireSpec& wire_;
 
   // Leader-side collections, pruned together below the current view.
   std::map<View, std::vector<SignedCert>> view_certs_;

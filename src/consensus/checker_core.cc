@@ -46,13 +46,26 @@ std::optional<AccumulatorCert> Accumulate(EnclaveRuntime* enclave, uint32_t f, V
 }
 
 SealedVoteChecker::SealedVoteChecker(EnclaveRuntime* enclave, uint32_t n, uint32_t f,
-                                     const char* seal_slot, const Domains& domains,
+                                     const char* seal_slot, const ChainedDomains& domains,
                                      bool restored)
     : enclave_(enclave), n_(n), f_(f), seal_slot_(seal_slot), domains_(domains) {
   preph_ = Block::Genesis()->hash;
   if (!restored) {
     PersistState();
   }
+}
+
+std::unique_ptr<SealedVoteChecker> SealedVoteChecker::Restore(EnclaveRuntime* enclave,
+                                                              uint32_t n, uint32_t f,
+                                                              const char* seal_slot,
+                                                              const ChainedDomains& domains,
+                                                              bool break_restore_verify) {
+  std::unique_ptr<SealedVoteChecker> checker(
+      new SealedVoteChecker(enclave, n, f, seal_slot, domains, /*restored=*/true));
+  if (!checker->LoadSealed(break_restore_verify)) {
+    return nullptr;
+  }
+  return checker;
 }
 
 bool SealedVoteChecker::LoadSealed(bool break_restore_verify) {
@@ -194,6 +207,27 @@ std::optional<SignedCert> SealedVoteChecker::StorePrepared(const QuorumCert& pre
   preph_ = prepared_qc.hash;
   PersistState();
   return SignTuple(domains_.commit, prepared_qc.hash, v);
+}
+
+std::optional<SignedCert> SealedVoteChecker::StoreFast(const SignedCert& prep_cert) {
+  enclave_->ChargeEcall();
+  const View v = prep_cert.view;
+  if (v < vi_ || (v == vi_ && voted2_) || prep_cert.aux != 1 ||
+      prep_cert.sig.signer != LeaderOfView(v, n_)) {
+    return std::nullopt;
+  }
+  enclave_->ChargeVerify(1);
+  const Bytes digest = prep_cert.Digest(domains_.prep);
+  if (!enclave_->Verify(prep_cert.sig, ByteView(digest.data(), digest.size()))) {
+    return std::nullopt;
+  }
+  AdvanceTo(v);
+  voted1_ = true;
+  voted2_ = true;
+  prepv_ = v;
+  preph_ = prep_cert.hash;
+  PersistState();
+  return SignTuple(domains_.commit, prep_cert.hash, v);
 }
 
 std::optional<SignedCert> SealedVoteChecker::NewView(View target) {

@@ -10,16 +10,15 @@ CommitTracker::CommitTracker(uint32_t num_replicas)
       replica_committed_(num_replicas) {}
 
 void CommitTracker::OnPropose(NodeId proposer, const BlockPtr& block) {
-  proposer_of_.emplace(block->hash, proposer);
-  propose_times_.emplace(block->hash, block->propose_time);
+  proposals_.emplace(block->hash, Proposal{proposer, block->propose_time});
   for (const ProposeListener& listener : propose_listeners_) {
     listener(proposer, block);
   }
 }
 
 NodeId CommitTracker::ProposerOf(const Hash256& hash) const {
-  auto it = proposer_of_.find(hash);
-  return it == proposer_of_.end() ? kNoProposer : it->second;
+  auto it = proposals_.find(hash);
+  return it == proposals_.end() ? kNoProposer : it->second.proposer;
 }
 
 void CommitTracker::OnCommit(NodeId replica, const BlockPtr& block, SimTime now) {
@@ -48,12 +47,12 @@ void CommitTracker::OnCommit(NodeId replica, const BlockPtr& block, SimTime now)
   if (first_committed_.insert(block->hash).second) {
     ++blocks_committed_;
     txs_committed_total_ += block->txs.size();
-    auto pt = propose_times_.find(block->hash);
+    auto proposal = proposals_.find(block->hash);
     const bool in_window = measuring_ && (window_end_ < 0 || now <= window_end_);
     if (in_window && now >= window_start_) {
       txs_in_window_ += block->txs.size();
-      if (pt != propose_times_.end()) {
-        commit_latency_.Record(now - pt->second);
+      if (proposal != proposals_.end()) {
+        commit_latency_.Record(now - proposal->second.propose_time);
       }
     }
   }

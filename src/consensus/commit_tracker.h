@@ -87,8 +87,12 @@ class CommitTracker {
   uint32_t num_replicas_;
   std::set<NodeId> byzantine_;
 
-  std::unordered_map<Hash256, SimTime, Hash256Hasher> propose_times_;
-  std::unordered_map<Hash256, NodeId, Hash256Hasher> proposer_of_;
+  // One record per proposed block, from OnPropose.
+  struct Proposal {
+    NodeId proposer;
+    SimTime propose_time;
+  };
+  std::unordered_map<Hash256, Proposal, Hash256Hasher> proposals_;
   // Audit: agreed hash per height among correct replicas.
   std::map<Height, Hash256> height_to_hash_;
   // Per replica: highest committed height and set of committed hashes (for dedup).

@@ -1,17 +1,31 @@
 // Chained Damysus replica (Appendix A of the Achilles paper): NEW-VIEW, PREPARE (propose +
 // first votes), PRE-COMMIT (QC + second votes), DECIDE. Six end-to-end steps vs Achilles'
-// four. With a counter-equipped platform this is Damysus-R: every checker mutation stalls
-// on a persistent counter write.
+// four. Its trusted CHECKER (a SealedVoteChecker) tracks the last *prepared* block. With a
+// counter-equipped platform this is Damysus-R: every checker mutation stalls on a
+// persistent counter write.
 #ifndef SRC_DAMYSUS_REPLICA_H_
 #define SRC_DAMYSUS_REPLICA_H_
 
 #include <memory>
 
 #include "src/consensus/chained_replica.h"
-#include "src/damysus/checker.h"
-#include "src/damysus/messages.h"
 
 namespace achilles {
+
+// Damysus' trace names and signing domains, and the slot its checker seals its state in.
+inline constexpr ChainedWireSpec kDamysusWire{
+    .propose = "dam_propose",
+    .vote = "dam_vote1",
+    .precommit = "dam_precommit",
+    .commit_vote = "dam_vote2",
+    .decide = "dam_decide",
+    .new_view = "dam_new_view",
+    .domains = {.prep = "damysus/PREP",
+                .vote1 = "damysus/VOTE1",
+                .commit = "damysus/VOTE2",
+                .new_view = "damysus/NEW-VIEW",
+                .acc = "damysus/ACC"}};
+inline constexpr const char* kDamysusSealSlot = "damysus-checker";
 
 class DamysusReplica : public ChainedReplica {
  public:
@@ -21,7 +35,7 @@ class DamysusReplica : public ChainedReplica {
 
   // True when restore after reboot failed (detected rollback in -R): crash-stop.
   bool halted() const { return checker_ == nullptr; }
-  const DamysusChecker* checker() const { return checker_.get(); }
+  const SealedVoteChecker* checker() const { return checker_.get(); }
 
   InvariantSnapshot Invariants() const override {
     InvariantSnapshot snap = ReplicaBase::Invariants();
@@ -40,25 +54,22 @@ class DamysusReplica : public ChainedReplica {
   bool Active() const override { return !halted(); }
   View TrustedView() const override { return checker_->vi(); }
   std::optional<SignedCert> TrustedNewView(View target) override {
-    return checker_->TdNewView(target);
+    return checker_->NewView(target);
   }
   std::optional<AccumulatorCert> TrustedAccum(const std::vector<SignedCert>& certs) override {
-    return checker_->TdAccum(certs);
+    return checker_->Accum(certs);
   }
   std::optional<SignedCert> TrustedPrepare(const Block& block, const AccumulatorCert* acc,
                                            const QuorumCert* commit_qc) override {
-    return acc != nullptr ? checker_->TdPrepare(block, *acc)
-                          : checker_->TdPrepare(block, *commit_qc);
+    return acc != nullptr ? checker_->PrepareFromAcc(block, *acc)
+                          : checker_->PrepareFromCommit(block, *commit_qc, /*aux=*/0);
   }
-  MessageRef MakeNewView(const SignedCert& view_cert) const override;
-  MessageRef MakePropose(const BlockPtr& block, const SignedCert& prep_cert) const override;
-  MessageRef MakeDecide(QuorumCert commit_qc) const override;
 
  private:
-  void OnPropose(NodeId from, const std::shared_ptr<const DamProposeMsg>& msg);
-  void OnPreCommit(NodeId from, const DamPreCommitMsg& msg);
+  void OnPropose(NodeId from, const std::shared_ptr<const ChainedProposeMsg>& msg);
+  void OnPreCommit(NodeId from, const ChainedPreCommitMsg& msg);
 
-  std::unique_ptr<DamysusChecker> checker_;
+  std::unique_ptr<SealedVoteChecker> checker_;
 };
 
 }  // namespace achilles

@@ -101,8 +101,10 @@ struct ScriptParams {
   // RNG draws are gated behind defense != kLocal so kLocal streams — and therefore their
   // replay digests — do not depend on the quorum-fate sampler.
   persist::DefenseKind defense = persist::DefenseKind::kLocal;
-  SimTime heal_at = Ms(1800);
-  SimDuration liveness_window = Sec(8);
+  // Fault window end / post-heal liveness budget. The window must absorb the pacemaker's
+  // accumulated exponential backoff after heal, so keep it generous.
+  SimTime heal_at = Ms(1400);
+  SimDuration liveness_window = Sec(12);
   // Probability the script contains crash+reboot cycles at all (--reboot-weight). Raising
   // it weights a chaos shard toward reboot-bearing schedules.
   double reboot_prob = 0.65;

@@ -1,16 +1,33 @@
 // OneShot replica: four communication steps on the piggyback fast path (previous view
-// committed), six on the NEW-VIEW slow path. With a counter-equipped platform this is
-// OneShot-R (1 write per node per fast view, 2 otherwise).
+// committed), six on the NEW-VIEW slow path. Its trusted CHECKER (a SealedVoteChecker) is
+// view-adapting: on the fast path backups store and vote in a single phase, while a view
+// entered through NEW-VIEW certificates falls back to Damysus-style two-phase voting. With
+// a counter-equipped platform this is OneShot-R (1 write per node per fast view, 2
+// otherwise).
 #ifndef SRC_ONESHOT_REPLICA_H_
 #define SRC_ONESHOT_REPLICA_H_
 
 #include <memory>
 
 #include "src/consensus/chained_replica.h"
-#include "src/oneshot/checker.h"
-#include "src/oneshot/messages.h"
 
 namespace achilles {
+
+// OneShot's trace names and signing domains, and the slot its checker seals its state in.
+// Fast-path store votes and slow-path second-phase votes share the COMMIT domain.
+inline constexpr ChainedWireSpec kOneShotWire{
+    .propose = "os_propose",
+    .vote = "os_vote1",
+    .precommit = "os_precommit",
+    .commit_vote = "os_commit_vote",
+    .decide = "os_decide",
+    .new_view = "os_new_view",
+    .domains = {.prep = "oneshot/PREP",
+                .vote1 = "oneshot/VOTE1",
+                .commit = "oneshot/COMMIT",
+                .new_view = "oneshot/NEW-VIEW",
+                .acc = "oneshot/ACC"}};
+inline constexpr const char* kOneShotSealSlot = "oneshot-checker";
 
 class OneShotReplica : public ChainedReplica {
  public:
@@ -39,22 +56,19 @@ class OneShotReplica : public ChainedReplica {
   bool Active() const override { return !halted(); }
   View TrustedView() const override { return checker_->vi(); }
   std::optional<SignedCert> TrustedNewView(View target) override {
-    return checker_->ToNewView(target);
+    return checker_->NewView(target);
   }
   std::optional<AccumulatorCert> TrustedAccum(const std::vector<SignedCert>& certs) override {
-    return checker_->ToAccum(certs);
+    return checker_->Accum(certs);
   }
   std::optional<SignedCert> TrustedPrepare(const Block& block, const AccumulatorCert* acc,
                                            const QuorumCert* commit_qc) override;
-  MessageRef MakeNewView(const SignedCert& view_cert) const override;
-  MessageRef MakePropose(const BlockPtr& block, const SignedCert& prep_cert) const override;
-  MessageRef MakeDecide(QuorumCert commit_qc) const override;
 
  private:
-  void OnPropose(NodeId from, const std::shared_ptr<const OsProposeMsg>& msg);
-  void OnPreCommit(NodeId from, const OsPreCommitMsg& msg);
+  void OnPropose(NodeId from, const std::shared_ptr<const ChainedProposeMsg>& msg);
+  void OnPreCommit(NodeId from, const ChainedPreCommitMsg& msg);
 
-  std::unique_ptr<OneShotChecker> checker_;
+  std::unique_ptr<SealedVoteChecker> checker_;
   uint64_t fast_views_ = 0;
   uint64_t slow_views_ = 0;
 };

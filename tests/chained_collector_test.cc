@@ -11,13 +11,10 @@
 #include <ostream>
 #include <vector>
 
-#include "src/achilles/checker.h"
-#include "src/achilles/messages.h"
-#include "src/damysus/checker.h"
-#include "src/damysus/messages.h"
+#include "src/achilles/replica.h"
+#include "src/damysus/replica.h"
 #include "src/harness/cluster.h"
-#include "src/oneshot/checker.h"
-#include "src/oneshot/messages.h"
+#include "src/oneshot/replica.h"
 
 namespace achilles {
 namespace {
@@ -30,111 +27,39 @@ constexpr NodeId kLeader = 0;
 constexpr View kView = 4 * kN;
 static_assert(LeaderOfView(kView, kN) == kLeader);
 
-// One vote phase of a protocol: its signing domain, its vote message, and the message
-// the leader broadcasts once the phase reaches quorum.
-struct VotePhase {
-  const char* domain;
-  MessageRef (*make_vote)(const SignedCert& vote);
-  const char* quorum_output;
-};
-
 struct Family {
   const char* name;
   Protocol protocol;
-  const char* new_view_domain;
+  const ChainedWireSpec* wire;
   const char* foreign_new_view_domain;  // Another family's NEW-VIEW domain.
-  MessageRef (*make_new_view)(const SignedCert& view_cert);
-  const char* propose;
-  // Block hash of a proposal message of this family, or nullptr for other messages.
-  const Hash256* (*proposed_hash)(const MessageRef& msg);
-  std::vector<VotePhase> phases;  // In protocol order; the last one yields DECIDE.
 };
 
 void PrintTo(const Family& family, std::ostream* os) { *os << family.name; }
 
-template <typename Msg>
-MessageRef MakeNewView(const SignedCert& view_cert) {
-  auto msg = std::make_shared<Msg>();
-  msg->view_cert = view_cert;
-  return msg;
-}
+// Proposals built on NEW-VIEW certificates take OneShot's two-phase slow path.
+const Family kFamilies[] = {
+    {"Achilles", Protocol::kAchilles, &kAchillesWire, kDamysusWire.domains.new_view},
+    {"Damysus", Protocol::kDamysus, &kDamysusWire, kOneShotWire.domains.new_view},
+    {"OneShot", Protocol::kOneShot, &kOneShotWire, kAchillesWire.domains.new_view},
+};
 
-Family AchillesFamily() {
-  return Family{
-      "Achilles",
-      Protocol::kAchilles,
-      kAchNewView,
-      kDamNewView,
-      MakeNewView<AchNewViewMsg>,
-      "ach_propose",
-      [](const MessageRef& msg) -> const Hash256* {
-        auto propose = std::dynamic_pointer_cast<const AchProposeMsg>(msg);
-        return propose != nullptr ? &propose->block->hash : nullptr;
-      },
-      {VotePhase{kAchCommit,
-                 [](const SignedCert& vote) -> MessageRef {
-                   auto msg = std::make_shared<AchVoteMsg>();
-                   msg->store_cert = vote;
-                   return msg;
-                 },
-                 "ach_decide"}}};
-}
+// One vote phase of a protocol: first-phase votes (PRE-COMMIT follows) or commit votes
+// (DECIDE follows), their signing domain, and the message the leader broadcasts once the
+// phase reaches quorum.
+struct VotePhase {
+  bool first;
+  const char* domain;
+  const char* quorum_output;
+};
 
-Family DamysusFamily() {
-  return Family{
-      "Damysus",
-      Protocol::kDamysus,
-      kDamNewView,
-      kOsNewView,
-      MakeNewView<DamNewViewMsg>,
-      "dam_propose",
-      [](const MessageRef& msg) -> const Hash256* {
-        auto propose = std::dynamic_pointer_cast<const DamProposeMsg>(msg);
-        return propose != nullptr ? &propose->block->hash : nullptr;
-      },
-      {VotePhase{kDamVote1,
-                 [](const SignedCert& vote) -> MessageRef {
-                   auto msg = std::make_shared<DamVote1Msg>();
-                   msg->vote = vote;
-                   return msg;
-                 },
-                 "dam_precommit"},
-       VotePhase{kDamVote2,
-                 [](const SignedCert& vote) -> MessageRef {
-                   auto msg = std::make_shared<DamVote2Msg>();
-                   msg->vote = vote;
-                   return msg;
-                 },
-                 "dam_decide"}}};
-}
-
-Family OneShotFamily() {
-  // Proposals built on NEW-VIEW certificates take OneShot's two-phase slow path.
-  return Family{
-      "OneShot",
-      Protocol::kOneShot,
-      kOsNewView,
-      kAchNewView,
-      MakeNewView<OsNewViewMsg>,
-      "os_propose",
-      [](const MessageRef& msg) -> const Hash256* {
-        auto propose = std::dynamic_pointer_cast<const OsProposeMsg>(msg);
-        return propose != nullptr ? &propose->block->hash : nullptr;
-      },
-      {VotePhase{kOsVote1,
-                 [](const SignedCert& vote) -> MessageRef {
-                   auto msg = std::make_shared<OsVote1Msg>();
-                   msg->vote = vote;
-                   return msg;
-                 },
-                 "os_precommit"},
-       VotePhase{kOsCommit,
-                 [](const SignedCert& vote) -> MessageRef {
-                   auto msg = std::make_shared<OsCommitVoteMsg>();
-                   msg->vote = vote;
-                   return msg;
-                 },
-                 "os_decide"}}};
+// The vote phases of `wire` in protocol order; the last one yields DECIDE.
+std::vector<VotePhase> Phases(const ChainedWireSpec& wire) {
+  std::vector<VotePhase> phases;
+  if (wire.vote != nullptr) {
+    phases.push_back({true, wire.domains.vote1, wire.precommit});
+  }
+  phases.push_back({false, wire.domains.commit, wire.decide});
+  return phases;
 }
 
 ClusterConfig Config(Protocol protocol) {
@@ -170,6 +95,10 @@ class ChainedCollectorTest : public ::testing::TestWithParam<Family> {
   }
 
   const Family& family() const { return GetParam(); }
+  const ChainedWireSpec& wire() const { return *family().wire; }
+  MessageRef NewViewMsg(const SignedCert& view_cert) const {
+    return std::make_shared<ChainedNewViewMsg>(wire().new_view, view_cert);
+  }
   void Settle() { cluster_->sim().RunFor(Ms(20)); }
 
   SignedCert Signed(NodeId signer, const Hash256& hash, View view, uint64_t aux,
@@ -198,21 +127,21 @@ class ChainedCollectorTest : public ::testing::TestWithParam<Family> {
     }
     return count;
   }
-  size_t Decides() const { return Sent(family().phases.back().quorum_output); }
+  size_t Decides() const { return Sent(wire().decide); }
 
   // Valid NEW-VIEW certificates from backups 1..f+1: the leader must propose in kView.
   // Returns the proposed block's hash.
   Hash256 ProposeFromViewCerts() {
     for (NodeId signer = 1; signer <= kF + 1; ++signer) {
-      Deliver(signer, family().make_new_view(ViewCert(signer, family().new_view_domain)));
+      Deliver(signer, NewViewMsg(ViewCert(signer, wire().domains.new_view)));
     }
     Settle();
     return ProposedHash();
   }
   Hash256 ProposedHash() const {
     for (const MessageRef& msg : from_leader_) {
-      if (const Hash256* hash = family().proposed_hash(msg)) {
-        return *hash;
+      if (auto propose = std::dynamic_pointer_cast<const ChainedProposeMsg>(msg)) {
+        return propose->block->hash;
       }
     }
     ADD_FAILURE() << "no proposal";
@@ -228,13 +157,18 @@ class ChainedCollectorTest : public ::testing::TestWithParam<Family> {
         DeliverVote(p, signer, proposed);
       }
       Settle();
-      EXPECT_GT(Sent(family().phases[p].quorum_output), 0u) << "phase " << p;
+      EXPECT_GT(Sent(Phases(wire())[p].quorum_output), 0u) << "phase " << p;
     }
     return proposed;
   }
   void DeliverVote(size_t phase, NodeId signer, const Hash256& hash) {
-    const VotePhase& vp = family().phases[phase];
-    Deliver(signer, vp.make_vote(Signed(signer, hash, kView, 0, vp.domain)));
+    const VotePhase vp = Phases(wire())[phase];
+    const SignedCert vote = Signed(signer, hash, kView, 0, vp.domain);
+    if (vp.first) {
+      Deliver(signer, std::make_shared<ChainedVoteMsg>(wire().vote, vote));
+    } else {
+      Deliver(signer, std::make_shared<ChainedCommitVoteMsg>(wire().commit_vote, vote));
+    }
   }
 
   std::unique_ptr<Cluster> cluster_;
@@ -244,40 +178,39 @@ class ChainedCollectorTest : public ::testing::TestWithParam<Family> {
 TEST_P(ChainedCollectorTest, DuplicateSignerNewViewsDoNotPropose) {
   StartCluster();
   // f+1 copies of one backup's valid certificate count once.
-  const MessageRef copy = family().make_new_view(ViewCert(1, family().new_view_domain));
+  const MessageRef copy = NewViewMsg(ViewCert(1, wire().domains.new_view));
   for (uint32_t i = 0; i <= kF; ++i) {
     Deliver(1, copy);
   }
   Settle();
-  EXPECT_EQ(Sent(family().propose), 0u);
+  EXPECT_EQ(Sent(wire().propose), 0u);
   EXPECT_EQ(Decides(), 0u);
   // Control: f more distinct signers complete the quorum with the counted copy.
   for (NodeId signer = 2; signer <= kF + 1; ++signer) {
-    Deliver(signer, family().make_new_view(ViewCert(signer, family().new_view_domain)));
+    Deliver(signer, NewViewMsg(ViewCert(signer, wire().domains.new_view)));
   }
   Settle();
-  EXPECT_GT(Sent(family().propose), 0u);
+  EXPECT_GT(Sent(wire().propose), 0u);
 }
 
 TEST_P(ChainedCollectorTest, ForeignDomainNewViewsDoNotPropose) {
   StartCluster();
   for (NodeId signer = 1; signer <= kF + 1; ++signer) {
-    Deliver(signer,
-            family().make_new_view(ViewCert(signer, family().foreign_new_view_domain)));
+    Deliver(signer, NewViewMsg(ViewCert(signer, family().foreign_new_view_domain)));
   }
   Settle();
-  EXPECT_EQ(Sent(family().propose), 0u);
+  EXPECT_EQ(Sent(wire().propose), 0u);
   EXPECT_EQ(Decides(), 0u);
   // Control: the same signers under the family's own domain.
   EXPECT_NE(ProposeFromViewCerts(), ZeroHash());
 }
 
 TEST_P(ChainedCollectorTest, DuplicateSignerVotesDoNotReachQuorum) {
-  for (size_t phase = 0; phase < family().phases.size(); ++phase) {
+  for (size_t phase = 0; phase < Phases(wire()).size(); ++phase) {
     SCOPED_TRACE(::testing::Message() << "vote phase " << phase);
     StartCluster();
     const Hash256 proposed = DriveToPhase(phase);
-    const char* output = family().phases[phase].quorum_output;
+    const char* output = Phases(wire())[phase].quorum_output;
     // The leader's own vote plus f+1 copies of backup 1's: two distinct signers.
     for (uint32_t i = 0; i <= kF; ++i) {
       DeliverVote(phase, 1, proposed);
@@ -293,11 +226,11 @@ TEST_P(ChainedCollectorTest, DuplicateSignerVotesDoNotReachQuorum) {
 }
 
 TEST_P(ChainedCollectorTest, VotesForAnotherHashDoNotReachQuorum) {
-  for (size_t phase = 0; phase < family().phases.size(); ++phase) {
+  for (size_t phase = 0; phase < Phases(wire()).size(); ++phase) {
     SCOPED_TRACE(::testing::Message() << "vote phase " << phase);
     StartCluster();
     const Hash256 proposed = DriveToPhase(phase);
-    const char* output = family().phases[phase].quorum_output;
+    const char* output = Phases(wire())[phase].quorum_output;
     Hash256 other = proposed;
     other[0] ^= 1;
     for (NodeId signer = 1; signer <= kF; ++signer) {
@@ -316,7 +249,7 @@ TEST_P(ChainedCollectorTest, VotesForAnotherHashDoNotReachQuorum) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, ChainedCollectorTest,
-                         ::testing::Values(AchillesFamily(), DamysusFamily(), OneShotFamily()),
+                         ::testing::ValuesIn(kFamilies),
                          [](const ::testing::TestParamInfo<Family>& param_info) {
                            return std::string(param_info.param.name);
                          });

@@ -5,7 +5,6 @@
 #include <iterator>
 #include <typeinfo>
 
-#include "src/achilles/messages.h"
 #include "src/achilles/replica.h"
 #include "src/damysus/replica.h"
 #include "src/flexibft/replica.h"
@@ -299,23 +298,25 @@ TEST(ForgeryTest, ForgedProposalsAndDecidesAreIgnored) {
   const Height before = cluster.tracker().max_committed_height();
 
   // Forged proposal: block with a garbage certificate "signed" by the current leader id.
-  auto propose = std::make_shared<AchProposeMsg>();
-  propose->block = Block::Create(/*view=*/999, Block::Genesis(),
-                                 {Transaction{Transaction::MakeId(9, 1), 0, 8}}, 0);
-  propose->block_cert.hash = propose->block->hash;
-  propose->block_cert.view = 999;
-  propose->block_cert.sig.signer = LeaderOfView(999, cluster.num_replicas());
-  propose->block_cert.sig.blob.assign(64, 0xab);  // Not a valid signature.
+  auto propose = std::make_shared<ChainedProposeMsg>(
+      kAchillesWire.propose,
+      Block::Create(/*view=*/999, Block::Genesis(),
+                    {Transaction{Transaction::MakeId(9, 1), 0, 8}}, 0),
+      SignedCert{});
+  propose->cert.hash = propose->block->hash;
+  propose->cert.view = 999;
+  propose->cert.sig.signer = LeaderOfView(999, cluster.num_replicas());
+  propose->cert.sig.blob.assign(64, 0xab);  // Not a valid signature.
 
   // Forged decide: quorum certificate with fabricated signatures.
-  auto decide = std::make_shared<AchDecideMsg>();
-  decide->commit_cert.hash = propose->block->hash;
-  decide->commit_cert.view = 999;
+  auto decide = std::make_shared<ChainedDecideMsg>(kAchillesWire.decide, QuorumCert{});
+  decide->qc.hash = propose->block->hash;
+  decide->qc.view = 999;
   for (uint32_t i = 0; i < 2; ++i) {
     Signature sig;
     sig.signer = i;
     sig.blob.assign(64, static_cast<uint8_t>(i));
-    decide->commit_cert.sigs.push_back(sig);
+    decide->qc.sigs.push_back(sig);
   }
 
   for (uint32_t target = 0; target < cluster.num_replicas(); ++target) {
@@ -343,7 +344,7 @@ TEST(ForgeryTest, ReplayedOldDecideIsHarmless) {
 
   // Capture a genuine decide... the simplest capture point is the commit listener plus a
   // re-broadcast of the same certificate much later.
-  std::shared_ptr<AchDecideMsg> replay;
+  std::shared_ptr<ChainedDecideMsg> replay;
   cluster.sim().RunFor(Sec(1));
   // Build the replay from tracked state: reuse block at height 1's hash with no sigs is
   // already covered by ForgedProposals; here we verify that committing twice via duplicate

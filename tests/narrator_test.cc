@@ -3,13 +3,18 @@
 
 #include <memory>
 
-#include "src/damysus/checker.h"
+#include "src/damysus/replica.h"
 #include "src/tee/enclave.h"
 #include "src/tee/narrator.h"
 #include "src/tee/platform.h"
 
 namespace achilles {
 namespace {
+
+// Restores Damysus' checker (n = 4, f = 1) from the sealed state on `enclave`'s platform.
+std::unique_ptr<SealedVoteChecker> RestoreDamysus(EnclaveRuntime* enclave) {
+  return SealedVoteChecker::Restore(enclave, 4, 1, kDamysusSealSlot, kDamysusWire.domains);
+}
 
 TEST(NarratorTest, LanLatenciesMatchTable4) {
   const NarratorResult result =
@@ -66,20 +71,21 @@ TEST(NarratorTest, NarratorCounterDetectsSealRollback) {
   NodePlatform platform(&host, &suite, CostModel::Default(), tee, 9);
   auto enclave = std::make_unique<EnclaveRuntime>(&platform);
   {
-    DamysusChecker checker(enclave.get(), 4, 1);
-    ASSERT_TRUE(checker.TdNewView(1).has_value());
-    ASSERT_TRUE(checker.TdNewView(2).has_value());
+    SealedVoteChecker checker(enclave.get(), 4, 1, kDamysusSealSlot,
+                              kDamysusWire.domains);
+    ASSERT_TRUE(checker.NewView(1).has_value());
+    ASSERT_TRUE(checker.NewView(2).has_value());
   }
   // Each persisted mutation paid the Narrator write path on the host clock.
   EXPECT_GE(host.cpu_time_used(), 2 * tee.counter.write_latency);
   // Reboot against the oldest sealed blob: version < counter, the checker refuses to run.
   platform.storage().SetRollbackMode(RollbackMode::kOldest);
   enclave = std::make_unique<EnclaveRuntime>(&platform);
-  EXPECT_EQ(DamysusChecker::Restore(enclave.get(), 4, 1), nullptr);
+  EXPECT_EQ(RestoreDamysus(enclave.get()), nullptr);
   // The honest latest blob restores.
   platform.storage().SetRollbackMode(RollbackMode::kLatest);
   enclave = std::make_unique<EnclaveRuntime>(&platform);
-  auto restored = DamysusChecker::Restore(enclave.get(), 4, 1);
+  auto restored = RestoreDamysus(enclave.get());
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->vi(), 2u);
 }

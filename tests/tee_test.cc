@@ -2,7 +2,7 @@
 
 #include <memory>
 
-#include "src/damysus/checker.h"
+#include "src/damysus/replica.h"
 #include "src/tee/enclave.h"
 #include "src/tee/monotonic_counter.h"
 #include "src/tee/platform.h"
@@ -10,6 +10,13 @@
 
 namespace achilles {
 namespace {
+
+// Restores Damysus' checker (n = 4, f = 1) from the sealed state on `enclave`'s platform.
+std::unique_ptr<SealedVoteChecker> RestoreDamysus(EnclaveRuntime* enclave,
+                                                  bool break_restore_verify = false) {
+  return SealedVoteChecker::Restore(enclave, 4, 1, kDamysusSealSlot, kDamysusWire.domains,
+                                    break_restore_verify);
+}
 
 struct TeeFixture {
   TeeFixture(bool in_tee = true, CounterSpec counter = CounterSpec::None())
@@ -223,25 +230,26 @@ TEST(RollbackSweepTest, DamysusRRejectsEveryHistoricalBlob) {
   TeeFixture f(true, CounterSpec::Custom(Ms(1), Ms(1)));
   auto enclave = std::make_unique<EnclaveRuntime>(f.platform.get());
   {
-    DamysusChecker checker(enclave.get(), 4, 1);
+    SealedVoteChecker checker(enclave.get(), 4, 1, kDamysusSealSlot,
+                              kDamysusWire.domains);
     for (View v = 1; v <= 4; ++v) {
-      ASSERT_TRUE(checker.TdNewView(v).has_value());  // One sealed version per mutation.
+      ASSERT_TRUE(checker.NewView(v).has_value());  // One sealed version per mutation.
     }
   }
   SealedStorage& storage = f.platform->storage();
-  const size_t versions = storage.NumVersions("damysus-checker");
+  const size_t versions = storage.NumVersions(kDamysusSealSlot);
   ASSERT_GE(versions, 5u);  // Genesis seal + 4 NEW-VIEW mutations.
   storage.SetRollbackMode(RollbackMode::kPinned);
   for (size_t i = 0; i + 1 < versions; ++i) {
-    storage.PinServedVersion("damysus-checker", i);
+    storage.PinServedVersion(kDamysusSealSlot, i);
     enclave = std::make_unique<EnclaveRuntime>(f.platform.get());
-    EXPECT_EQ(DamysusChecker::Restore(enclave.get(), 4, 1), nullptr)
+    EXPECT_EQ(RestoreDamysus(enclave.get()), nullptr)
         << "stale sealed blob #" << i << " was accepted";
   }
   // The genuine latest blob still restores (the counter matches its bound version).
-  storage.PinServedVersion("damysus-checker", versions - 1);
+  storage.PinServedVersion(kDamysusSealSlot, versions - 1);
   enclave = std::make_unique<EnclaveRuntime>(f.platform.get());
-  auto restored = DamysusChecker::Restore(enclave.get(), 4, 1);
+  auto restored = RestoreDamysus(enclave.get());
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->vi(), 4u);
 }
@@ -252,17 +260,17 @@ TEST(RollbackSweepTest, BrokenCounterCompareAcceptsStaleBlob) {
   TeeFixture f(true, CounterSpec::Custom(Ms(1), Ms(1)));
   auto enclave = std::make_unique<EnclaveRuntime>(f.platform.get());
   {
-    DamysusChecker checker(enclave.get(), 4, 1);
+    SealedVoteChecker checker(enclave.get(), 4, 1, kDamysusSealSlot,
+                              kDamysusWire.domains);
     for (View v = 1; v <= 3; ++v) {
-      ASSERT_TRUE(checker.TdNewView(v).has_value());
+      ASSERT_TRUE(checker.NewView(v).has_value());
     }
   }
   SealedStorage& storage = f.platform->storage();
   storage.SetRollbackMode(RollbackMode::kOldest);
   enclave = std::make_unique<EnclaveRuntime>(f.platform.get());
-  ASSERT_EQ(DamysusChecker::Restore(enclave.get(), 4, 1), nullptr);  // -R refuses...
-  auto broken = DamysusChecker::Restore(enclave.get(), 4, 1,
-                                        /*break_counter_compare=*/true);
+  ASSERT_EQ(RestoreDamysus(enclave.get()), nullptr);  // -R refuses...
+  auto broken = RestoreDamysus(enclave.get(), /*break_restore_verify=*/true);
   ASSERT_NE(broken, nullptr);  // ...the broken build runs on rolled-back state.
   const uint64_t counter = f.platform->counter().ReadBlocking();
   EXPECT_LT(broken->version(), counter);  // Divergence the lockstep oracle flags.
