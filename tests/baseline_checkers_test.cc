@@ -25,8 +25,8 @@ struct CheckerSpec {
 
 void PrintTo(const CheckerSpec& spec, std::ostream* os) { *os << spec.name; }
 
-const CheckerSpec kDamysusChecker{"Damysus", kDamysusSealSlot, kDamysusWire.domains};
-const CheckerSpec kOneShotChecker{"OneShot", kOneShotSealSlot, kOneShotWire.domains};
+const CheckerSpec kDamysusConstants{"Damysus", kDamysusSealSlot, kDamysusWire.domains};
+const CheckerSpec kOneShotConstants{"OneShot", kOneShotSealSlot, kOneShotWire.domains};
 
 class CheckerFixture {
  protected:
@@ -197,7 +197,7 @@ TEST_P(SealedVoteCheckerTest, RestoreWithErasedStorageFails) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, SealedVoteCheckerTest,
-                         ::testing::Values(kDamysusChecker, kOneShotChecker),
+                         ::testing::Values(kDamysusConstants, kOneShotConstants),
                          [](const ::testing::TestParamInfo<CheckerSpec>& param_info) {
                            return std::string(param_info.param.name);
                          });
@@ -206,7 +206,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, SealedVoteCheckerTest,
 
 class OneShotFastPathTest : public ::testing::Test, public CheckerFixture {
  protected:
-  OneShotFastPathTest() : CheckerFixture(kOneShotChecker) {}
+  OneShotFastPathTest() : CheckerFixture(kOneShotConstants) {}
 
   // Commits view 1 through the two-phase slow path, returning its commit QC.
   QuorumCert CommitSlowView1(const BlockPtr& block) {
